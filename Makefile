@@ -7,9 +7,12 @@ GO ?= go
 all: build vet test
 
 # ci mirrors .github/workflows/ci.yml: full build/vet/test plus a short-mode
-# race pass (the full race suite is the separate `race` target).
+# race pass (the full race suite is the separate `race` target). benchmark/
+# is its own module, so ./... does not reach its BENCHMARK.json name-sync
+# test; it is run here explicitly.
 ci: build vet test
 	$(GO) test -race -short ./... -count=1 -timeout 900s
+	(cd benchmark && $(GO) vet . && $(GO) test . -count=1)
 
 build:
 	$(GO) build ./...
@@ -29,7 +32,7 @@ chaos:
 	$(GO) build -tags failpoints ./...
 	$(GO) test -race -tags failpoints -count=1 -timeout 1800s \
 		-run 'Chaos|Fault|Stall|Watchdog|Deregister|TryRegister|Abort|Panic|Bundle' \
-		./internal/fault/ ./internal/epoch/ ./internal/rqprov/ \
+		./internal/fault/ ./internal/rwlock/ ./internal/epoch/ ./internal/rqprov/ \
 		./internal/ds/skiplist/ ./internal/dstest/ .
 
 # chaos-mem is the bounded-memory acceptance proof: one updater permanently
@@ -47,16 +50,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./... -timeout 1800s
 
 # bench-quick runs the mixed-workload matrix (update-heavy rq0/rq10 and
-# RQ-heavy rq50 points, solo and combined cells), writes the
-# machine-readable BENCH_rq.json report, and gates against the committed
-# baseline (>20% best-of-trials throughput regression fails). 5 trials at
-# 300ms: the gate compares best single trials, corrected for uniform host
-# drift, and only on solo cells — combined-funnel cells are A/B
-# instrumentation with scheduler-regime variance no estimator can tame
-# (see bench.CompareRQReports). On top of that the gate retries in a fresh
-# process (up to 3 attempts): individual cells flip between scheduler
-# regimes worth 25-40% that persist for a whole process, so a flip
-# re-rolls on retry while a real code regression fails all three.
+# RQ-heavy rq50 points), writes the machine-readable BENCH_rq.json report,
+# and gates against the committed baseline (>20% best-of-trials throughput
+# regression fails). 5 trials at 300ms: the gate compares best single
+# trials, corrected for uniform host drift (see bench.CompareRQReports).
+# On top of that the gate retries in a fresh process (up to 3 attempts):
+# individual cells flip between scheduler regimes worth 25-40% that persist
+# for a whole process, so a flip re-rolls on retry while a real code
+# regression fails all three.
 # The baseline is host-specific: refresh it with `make rebaseline` when
 # the reference hardware changes.
 # The matrix includes the lazylist (the second bundled structure) and runs

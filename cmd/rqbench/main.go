@@ -1,8 +1,7 @@
 // Command rqbench runs the mixed benchmark matrix (update-heavy and
-// RQ-heavy points, solo and combined updates by default) across data
-// structures, provider techniques and thread counts, writes the
-// machine-readable BENCH_rq.json report, and — when given a committed
-// baseline — fails if throughput regressed beyond the gate.
+// RQ-heavy points) across data structures, provider techniques and thread
+// counts, writes the machine-readable BENCH_rq.json report, and — when
+// given a committed baseline — fails if throughput regressed beyond the gate.
 // `make bench-quick` and the CI bench-smoke job are thin wrappers
 // around this command.
 //
@@ -32,7 +31,6 @@ func main() {
 		thrFlag   = flag.String("threads", "8", "comma-separated worker counts")
 		shardFlag = flag.String("shards", "1", "comma-separated shard counts (1 = plain set)")
 		rqPct     = flag.String("rq-pct", "0,10,50", "comma-separated range-query percentages (0 = pure updates)")
-		combine   = flag.String("combine", "both", "update combining: off, on, or both (A/B per cell)")
 		technique = flag.String("technique", "ebr", "range-query technique: ebr, bundle, or both (interleaved A/B per cell)")
 		rqSize    = flag.Int64("rq-size", 64, "keys spanned per range query")
 		scale     = flag.Int64("scale", 10, "key-range divisor (1 = paper sizes)")
@@ -99,14 +97,8 @@ func main() {
 	if cfg.RQPcts, err = parsePcts(*rqPct); err != nil {
 		fatal(err)
 	}
-	if cfg.Combine, err = parseCombine(*combine); err != nil {
-		fatal(err)
-	}
 	if cfg.Techniques, err = parseTechniques(*technique); err != nil {
 		fatal(err)
-	}
-	if *combine == "on" && !hasEBR(cfg.Techniques) {
-		fatal(fmt.Errorf("-combine on requires the EBR technique: the aggregating update funnel is an EBR-provider feature and the bundle technique has no combined variant (use -technique ebr or both, or -combine off/both)"))
 	}
 
 	warnSingleProc()
@@ -257,19 +249,6 @@ func parsePcts(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseCombine(s string) ([]bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "off":
-		return []bool{false}, nil
-	case "on":
-		return []bool{true}, nil
-	case "both", "":
-		return []bool{false, true}, nil
-	default:
-		return nil, fmt.Errorf("bad -combine %q (want off, on or both)", s)
-	}
-}
-
 func parseTechniques(s string) ([]ebrrq.Technique, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "ebr", "":
@@ -285,19 +264,10 @@ func parseTechniques(s string) ([]ebrrq.Technique, error) {
 	}
 }
 
-func hasEBR(tqs []ebrrq.Technique) bool {
-	for _, tq := range tqs {
-		if tq == ebrrq.EBR {
-			return true
-		}
-	}
-	return false
-}
-
 // warnSingleProc makes the dead-counter trap impossible to miss: with a
 // single P there is no goroutine overlap, so every contention-path counter
-// (ts_shared, fence_shared, the combine_* family) reads zero regardless of
-// how the code would behave under load.
+// (ts_shared, fence_shared) reads zero regardless of how the code would
+// behave under load.
 func warnSingleProc() {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
@@ -306,7 +276,7 @@ func warnSingleProc() {
 	fmt.Fprintln(os.Stderr, "# WARNING: GOMAXPROCS=1 — contention counters are dead. #")
 	fmt.Fprintln(os.Stderr, "########################################################")
 	fmt.Fprintln(os.Stderr, "  "+bench.SingleProcNote)
-	fmt.Fprintln(os.Stderr, "  rerun with GOMAXPROCS>=2 to measure sharing/combining")
+	fmt.Fprintln(os.Stderr, "  rerun with GOMAXPROCS>=2 to measure sharing")
 }
 
 func parseInts(s string) ([]int, error) {

@@ -239,20 +239,6 @@ type Options struct {
 	// this long for limbo to drain below the hard limit before giving up
 	// with ErrMemoryPressure. 0 fails fast.
 	PressureWait time.Duration
-
-	// CombineUpdates enables the aggregating update funnel (DESIGN.md §12):
-	// concurrent Insert/Delete calls publish their linearizing CAS into a
-	// per-thread cell and one of them — the combiner — applies up to
-	// CombineBatch of them inside a single shared-clock window, amortizing
-	// the update lock handoff (Lock/HTM) and the timestamp validation
-	// (LockFree) over the whole batch. Pays off on update-heavy mixes with
-	// more runnable updaters than cores; adds a publication/wait handshake
-	// per update otherwise. Ignored by Unsafe, Snap and RLU.
-	CombineUpdates bool
-
-	// CombineBatch caps how many pending updates one combiner drains per
-	// window. 0 (with CombineUpdates set) defaults to maxThreads.
-	CombineBatch int
 }
 
 // opClass indexes the set-layer per-operation metrics.
@@ -311,11 +297,6 @@ func NewWithOptions(d DataStructure, t Mode, maxThreads int, opt Options) (*Set,
 	if maxThreads <= 0 {
 		return nil, fmt.Errorf("ebrrq: maxThreads must be positive")
 	}
-	if opt.CombineUpdates && tq != EBR {
-		// The aggregating funnel batches updates into one EBR provider
-		// clock window; other techniques linearize updates themselves.
-		return nil, fmt.Errorf("ebrrq: CombineUpdates is an EBR-provider feature (technique %v selected)", tq)
-	}
 	s := &Set{ds: d, mode: t, tq: tq}
 	reg := opt.Metrics
 	if reg != nil {
@@ -338,14 +319,6 @@ func (s *Set) Mode() Mode { return s.mode }
 
 // Technique returns the set's range-query technique (EBR or Bundle).
 func (s *Set) Technique() Technique { return s.tq }
-
-// Provider exposes the underlying EBR RQ provider.
-//
-// Deprecated: Provider is an EBR-only escape hatch kept for compatibility;
-// it returns nil for every other technique (Bundle) and for RLU sets. Use
-// the technique-neutral accessors instead: Health, Domain, Clock,
-// LimboSize, UnreclaimedNodes, UnreclaimedBytes, HTMAborts.
-func (s *Set) Provider() *rqprov.Provider { return s.impl.provider() }
 
 // Health returns the set's health check: critical when updates are being
 // rejected at the hard limbo limit, degraded when the escalation ladder is
@@ -419,8 +392,11 @@ func (s *Set) TryNewThread() (*Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Thread{set: s, impl: tt, pt: tt.providerThread(),
-		tr: tt.traceRing(), mtid: int(s.mtids.Add(1)) - 1}, nil
+	th := &Thread{set: s, impl: tt, tr: tt.traceRing(), mtid: int(s.mtids.Add(1)) - 1}
+	if et, ok := tt.(*ebrThread); ok {
+		th.pt = et.pt // feeds the EBR-only limbo and bag statistics
+	}
+	return th, nil
 }
 
 // Close releases the thread's slot for reuse by a future NewThread or
@@ -613,14 +589,6 @@ func (t *Thread) BagsSweptTotal() uint64 {
 	}
 	return t.pt.BagsSweptTotal()
 }
-
-// ProviderThread exposes the underlying EBR provider thread handle.
-//
-// Deprecated: ProviderThread is an EBR-only escape hatch kept for
-// compatibility; it returns nil for every other technique (Bundle) and for
-// RLU. Use the technique-neutral Thread accessors instead (ID,
-// LastRQTimestamp, LimboVisitedLast, BagsSkippedTotal, BagsSweptTotal).
-func (t *Thread) ProviderThread() *rqprov.Thread { return t.impl.providerThread() }
 
 // ---------------------------------------------------------------------------
 // Adapters

@@ -179,57 +179,6 @@ func TestMetricsDisabledNoRegistry(t *testing.T) {
 
 // TestConcurrentSmokeAllPairs exercises every supported pair briefly under
 // concurrency through the public API.
-// TestCombineConcurrentSmoke hammers combined updates through the public
-// API on the structures the CI race step targets: an update-heavy mix (more
-// runnable updaters than typical cores, periodic range queries) with
-// CombineUpdates on, checking RQ results stay sorted and that throughput
-// metrics still flow. Run under -race this exercises the funnel's
-// publish/claim/consume handoffs across goroutines.
-func TestCombineConcurrentSmoke(t *testing.T) {
-	for _, d := range []ebrrq.DataStructure{ebrrq.LFList, ebrrq.SkipList} {
-		for _, tech := range []ebrrq.Mode{ebrrq.Lock, ebrrq.HTM, ebrrq.LockFree} {
-			t.Run(d.String()+"/"+tech.String(), func(t *testing.T) {
-				s, err := ebrrq.NewWithOptions(d, tech, 6,
-					ebrrq.Options{CombineUpdates: true, CombineBatch: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var stop atomic.Bool
-				var wg sync.WaitGroup
-				for w := 0; w < 5; w++ {
-					wg.Add(1)
-					go func(seed int64) {
-						defer wg.Done()
-						th := s.NewThread()
-						defer th.Close()
-						r := rand.New(rand.NewSource(seed))
-						for i := 0; !stop.Load(); i++ {
-							k := r.Int63n(256)
-							if r.Intn(2) == 0 {
-								th.Insert(k, k)
-							} else {
-								th.Delete(k)
-							}
-							if i%64 == 0 {
-								res := th.RangeQuery(50, 150)
-								for j := 1; j < len(res); j++ {
-									if res[j-1].Key >= res[j].Key {
-										t.Error("unsorted result")
-										return
-									}
-								}
-							}
-						}
-					}(int64(w))
-				}
-				time.Sleep(150 * time.Millisecond)
-				stop.Store(true)
-				wg.Wait()
-			})
-		}
-	}
-}
-
 func TestConcurrentSmokeAllPairs(t *testing.T) {
 	for _, d := range allStructures {
 		for _, tech := range allTechniques {

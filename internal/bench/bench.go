@@ -68,12 +68,6 @@ type TrialCfg struct {
 	// per-phase RQ time counters (ebrrq_rq_{ts_wait,traverse,announce,
 	// limbo}_ns_total). Nil runs the zero-cost disabled path.
 	Trace *trace.Recorder
-
-	// Combine enables the aggregating update funnel on the trial's set
-	// (ebrrq.Options.CombineUpdates / per shard when sharded); CombineBatch
-	// caps the batch (0 = maxThreads).
-	Combine      bool
-	CombineBatch int
 }
 
 // Result aggregates a trial's measurements. Throughput counters come from
@@ -211,8 +205,7 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 			cfg.Shards, ebrrq.ShardedOptions{
 				Technique: cfg.Technique,
 				Metrics:   reg, Trace: cfg.Trace,
-				KeyMin: 0, KeyMax: cfg.KeyRange - 1,
-				CombineUpdates: cfg.Combine, CombineBatch: cfg.CombineBatch})
+				KeyMin: 0, KeyMax: cfg.KeyRange - 1})
 		if err != nil {
 			return Result{}, err
 		}
@@ -240,8 +233,7 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 	} else {
 		set, err := ebrrq.NewWithOptions(cfg.DS, cfg.Tech, len(cfg.Threads)+1,
 			ebrrq.Options{Technique: cfg.Technique,
-				Metrics: reg, Trace: cfg.Trace,
-				CombineUpdates: cfg.Combine, CombineBatch: cfg.CombineBatch})
+				Metrics: reg, Trace: cfg.Trace})
 		if err != nil {
 			return Result{}, err
 		}

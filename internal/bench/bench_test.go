@@ -96,7 +96,7 @@ func TestRQBenchTraceSplits(t *testing.T) {
 		DSs:   []ebrrq.DataStructure{ebrrq.SkipList},
 		Techs: []ebrrq.Mode{ebrrq.LockFree}, Threads: []int{2},
 		Trials: 1, Duration: 30 * time.Millisecond, Scale: 100,
-		RQPcts: []int{50}, Combine: []bool{false},
+		RQPcts:    []int{50},
 		TraceDump: &dump,
 	})
 	if err != nil {
@@ -122,76 +122,47 @@ func TestRQBenchTraceSplits(t *testing.T) {
 }
 
 // TestRQBenchNoTrace checks the disabled path leaves the splits zero (and
-// therefore omitted from JSON).
+// therefore omitted from JSON), and that an rq_pct 0 cell is update-only.
 func TestRQBenchNoTrace(t *testing.T) {
 	rep, err := RunRQBench(RQBenchCfg{
 		DSs:   []ebrrq.DataStructure{ebrrq.SkipList},
 		Techs: []ebrrq.Mode{ebrrq.LockFree}, Threads: []int{1},
 		Trials: 1, Duration: 20 * time.Millisecond, Scale: 100,
-		RQPcts: []int{50}, Combine: []bool{false},
+		RQPcts:  []int{0, 50},
 		NoTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt := rep.Points[0]; pt.PhaseSplit() != "" {
+	if len(rep.Points) != 2 {
+		t.Fatalf("points = %d, want 2", len(rep.Points))
+	}
+	if pt := rep.Points[0]; pt.RQPct != 0 || pt.RQsPerUs != 0 || pt.UpdatesPerUs <= 0 {
+		t.Fatalf("rq_pct 0 cell is not update-only: %+v", pt)
+	}
+	if pt := rep.Points[1]; pt.PhaseSplit() != "" {
 		t.Fatalf("NoTrace run still has phase data: %+v", pt)
-	}
-}
-
-// TestRQBenchCombineCell checks that a combine-enabled cell runs, carries
-// the /comb key suffix (so it never gates against a solo baseline), and
-// that an update-heavy mix with more workers than procs actually exercises
-// the funnel when the scheduler allows overlap. The counter assertion is
-// overlap-dependent, so it only requires the cell to complete cleanly; the
-// deterministic funnel coverage lives in internal/rqprov's failpoint tests.
-func TestRQBenchCombineCell(t *testing.T) {
-	rep, err := RunRQBench(RQBenchCfg{
-		DSs:   []ebrrq.DataStructure{ebrrq.SkipList},
-		Techs: []ebrrq.Mode{ebrrq.Lock}, Threads: []int{4},
-		Trials: 1, Duration: 30 * time.Millisecond, Scale: 100,
-		RQPcts: []int{0}, Combine: []bool{true},
-		NoTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 1 {
-		t.Fatalf("points = %d, want 1", len(rep.Points))
-	}
-	pt := rep.Points[0]
-	if !pt.Combine {
-		t.Fatalf("point not marked combined: %+v", pt)
-	}
-	if !strings.HasSuffix(pt.Key(), "/comb") {
-		t.Fatalf("combined key missing /comb suffix: %q", pt.Key())
-	}
-	if pt.RQPct != 0 || pt.RQsPerUs != 0 {
-		t.Fatalf("rq_pct 0 cell still ran range queries: %+v", pt)
-	}
-	if pt.UpdatesPerUs <= 0 {
-		t.Fatalf("no update throughput: %+v", pt)
 	}
 }
 
 // TestRQBenchTechniqueCells: listing [EBR, Bundle] emits an interleaved
 // A/B pair per cell; the bundle point collapses the mode dimension (one
 // cell anchored at the first supported mode, even with two modes listed),
-// carries the technique key suffix, and skips combined variants.
+// and carries the technique key suffix.
 func TestRQBenchTechniqueCells(t *testing.T) {
 	rep, err := RunRQBench(RQBenchCfg{
 		DSs:   []ebrrq.DataStructure{ebrrq.LazyList},
 		Techs: []ebrrq.Mode{ebrrq.Lock, ebrrq.LockFree}, Threads: []int{2},
 		Trials: 1, Duration: 30 * time.Millisecond, Scale: 100,
-		RQPcts: []int{10}, Combine: []bool{false, true},
+		RQPcts:     []int{10},
 		Techniques: []ebrrq.Technique{ebrrq.EBR, ebrrq.Bundle},
 		NoTrace:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 modes × (EBR solo + EBR combined) + 1 anchored bundle solo cell.
-	var ebrPts, bundlePts, bundleComb int
+	// 2 EBR modes + 1 anchored bundle cell.
+	var ebrPts, bundlePts int
 	for _, pt := range rep.Points {
 		switch pt.Technique {
 		case "ebr":
@@ -201,9 +172,6 @@ func TestRQBenchTechniqueCells(t *testing.T) {
 			}
 		case "bundle":
 			bundlePts++
-			if pt.Combine {
-				bundleComb++
-			}
 			if !strings.HasSuffix(pt.Key(), "/bundle") {
 				t.Fatalf("bundle key missing suffix: %q", pt.Key())
 			}
@@ -218,9 +186,8 @@ func TestRQBenchTechniqueCells(t *testing.T) {
 			t.Fatalf("cell %s ran no ops", pt.Key())
 		}
 	}
-	if ebrPts != 4 || bundlePts != 1 || bundleComb != 0 {
-		t.Fatalf("got %d EBR / %d bundle (%d combined) points, want 4 / 1 / 0",
-			ebrPts, bundlePts, bundleComb)
+	if ebrPts != 2 || bundlePts != 1 {
+		t.Fatalf("got %d EBR / %d bundle points, want 2 / 1", ebrPts, bundlePts)
 	}
 }
 
@@ -297,21 +264,6 @@ func TestCompareRQReportsDrift(t *testing.T) {
 	// even when the median ratio is above 1.
 	if msgs := CompareRQReports(base, mk(1.5, map[int]float64{2: 0.95}), 0.20); len(msgs) != 0 {
 		t.Fatalf("upward drift tightened the gate: %v", msgs)
-	}
-	// Combined-funnel cells are A/B instrumentation, not gated.
-	combBase := base
-	combBase.Points = append([]RQPoint(nil), base.Points...)
-	combBase.Points = append(combBase.Points, RQPoint{
-		DS: "SkipList", Tech: "Lock", Threads: 8, RQPct: 0, Combine: true,
-		OpsPerUs: 1.0, BestOpsPerUs: 1.0,
-	})
-	combCur := mk(1.0, nil)
-	combCur.Points = append(combCur.Points, RQPoint{
-		DS: "SkipList", Tech: "Lock", Threads: 8, RQPct: 0, Combine: true,
-		OpsPerUs: 0.4, BestOpsPerUs: 0.4,
-	})
-	if msgs := CompareRQReports(combBase, combCur, 0.20); len(msgs) != 0 {
-		t.Fatalf("combined cell was gated: %v", msgs)
 	}
 }
 

@@ -28,10 +28,6 @@ type RQPoint struct {
 	// plain single-provider Set (omitted from JSON for compatibility with
 	// pre-sharding baselines).
 	Shards int `json:"shards,omitempty"`
-	// Combine marks a cell run with the aggregating update funnel enabled
-	// (ebrrq.Options.CombineUpdates). Combined cells carry a distinct key
-	// suffix so they never gate against solo baselines.
-	Combine bool `json:"combine,omitempty"`
 	// Technique is the range-query technique the cell ran: "ebr" (the
 	// paper's provider) or "bundle" (bundled references). Empty in
 	// baselines predating the technique dimension, which means "ebr" —
@@ -67,12 +63,6 @@ type RQPoint struct {
 	BagsSkipped    uint64 `json:"bags_skipped"`
 	BagsSwept      uint64 `json:"bags_swept"`
 
-	// Aggregating-funnel counters (zero and omitted on solo cells):
-	// CombineOps/CombineBatches is the realized amortization factor.
-	CombineBatches   uint64 `json:"combine_batches,omitempty"`
-	CombineOps       uint64 `json:"combine_ops,omitempty"`
-	CombineFallbacks uint64 `json:"combine_solo_fallbacks,omitempty"`
-
 	// Per-phase RQ time splits (total ns across all trials), collected by
 	// the flight recorder; zero (and omitted) when tracing was off. Only
 	// meaningful relative to each other — they overlap wall time across
@@ -92,11 +82,6 @@ func (p RQPoint) Key() string {
 	if p.Shards > 1 {
 		k += fmt.Sprintf("/s%d", p.Shards)
 	}
-	if p.Combine {
-		// Combined cells are a different configuration, not a new build of
-		// the same one: they gate only against combined baseline cells.
-		k += "/comb"
-	}
 	if p.Technique != "" && p.Technique != "ebr" {
 		k += "/" + p.Technique
 	}
@@ -111,7 +96,7 @@ type RQReport struct {
 	GoVersion  string `json:"go_version"`
 	// Note flags fingerprints under which parts of the report are known to
 	// be meaningless — currently gomaxprocs=1, where the contention-path
-	// counters (ts_shared, fence_shared, combine_*) are structurally ~zero
+	// counters (ts_shared, fence_shared) are structurally ~zero
 	// because goroutines never overlap inside the provider.
 	Note   string    `json:"note,omitempty"`
 	Points []RQPoint `json:"points"`
@@ -119,7 +104,7 @@ type RQReport struct {
 
 // SingleProcNote is the RQReport.Note stamped on (and the warning printed
 // for) reports measured at GOMAXPROCS=1.
-const SingleProcNote = "gomaxprocs=1: contention-path counters (ts_shared, fence_shared, combine_*) never trigger without goroutine overlap; do not read them as a contention measurement"
+const SingleProcNote = "gomaxprocs=1: contention-path counters (ts_shared, fence_shared) never trigger without goroutine overlap; do not read them as a contention measurement"
 
 // RQBenchCfg parameterizes RunRQBench. Zero values select the quick
 // configuration used by `make bench-quick` and the CI bench-smoke job.
@@ -129,8 +114,7 @@ type RQBenchCfg struct {
 	Threads []int
 	// RQPcts lists the range-query percentages to sweep; the remainder of
 	// each mix splits evenly between inserts and deletes. Default
-	// [0, 10, 50]: the update-heavy points (0, 10) are where the combining
-	// funnel moves, the rq50 point is the historical RQ-heavy cell.
+	// [0, 10, 50]: two update-heavy points and the historical RQ-heavy cell.
 	RQPcts   []int
 	RQSize   int64 // keys spanned per range query
 	Scale    int64 // key-range divisor (see DefaultKeyRange)
@@ -141,16 +125,12 @@ type RQBenchCfg struct {
 	// Shards lists the shard counts to run each cell at; values <= 1 mean
 	// the plain Set. Default [1].
 	Shards []int
-	// Combine lists the funnel settings to run each cell at (false = solo,
-	// true = CombineUpdates). Default [false, true], so one invocation
-	// emits the combined-vs-solo A/B and the regression gate covers both.
-	Combine []bool
 	// Techniques lists the range-query techniques to run each cell at
 	// (nil entry = EBR). Default [EBR]. Bundle entries run only for the
 	// structures the technique supports, collapse the mode dimension (the
 	// bundled structures use their own locking — each bundle cell runs
 	// once, anchored at the first supported mode in Techs, labeled with
-	// it), and skip combined-funnel variants (an EBR-provider feature).
+	// it).
 	// Listing [EBR, Bundle] interleaves the A/B per cell, so both
 	// techniques of a cell see the same host conditions.
 	Techniques []ebrrq.Technique
@@ -195,9 +175,6 @@ func (c *RQBenchCfg) defaults() {
 	}
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1}
-	}
-	if len(c.Combine) == 0 {
-		c.Combine = []bool{false, true}
 	}
 	if len(c.Techniques) == 0 {
 		c.Techniques = []ebrrq.Technique{ebrrq.EBR}
@@ -278,102 +255,83 @@ warmup:
 									continue
 								}
 							}
-							for _, combine := range cfg.Combine {
-								if combine && tq != ebrrq.EBR {
-									// The aggregating funnel is an EBR-provider feature;
-									// skip the variant rather than fail the matrix.
-									continue
+							upd := (100 - rqPct) / 2
+							mix := Mix{InsertPct: upd, DeletePct: upd,
+								RQPct: 100 - 2*upd, RQSize: cfg.RQSize}
+							threads := make([]Mix, nt)
+							for i := range threads {
+								threads[i] = mix
+							}
+							keyRange := DefaultKeyRange(ds, cfg.Scale)
+							var total Result
+							var best float64
+							for trial := 0; trial < cfg.Trials; trial++ {
+								// One recorder per trial: each trial builds a fresh
+								// set, so sharing a recorder would pile up rings with
+								// duplicate labels. The last trial's recorder feeds
+								// TraceDump.
+								var rec *trace.Recorder
+								if !cfg.NoTrace {
+									rec = trace.NewRecorder(trace.Config{EventsPerRing: 1024})
+									lastRec = rec
 								}
-								upd := (100 - rqPct) / 2
-								mix := Mix{InsertPct: upd, DeletePct: upd,
-									RQPct: 100 - 2*upd, RQSize: cfg.RQSize}
-								threads := make([]Mix, nt)
-								for i := range threads {
-									threads[i] = mix
+								res, err := RunTrial(TrialCfg{
+									DS: ds, Tech: tech, KeyRange: keyRange,
+									Threads: threads, Duration: cfg.Duration,
+									Seed:      cfg.Seed + int64(trial)*31337,
+									Shards:    shards,
+									Trace:     rec,
+									Technique: tq,
+								})
+								if err != nil {
+									return rep, err
 								}
-								keyRange := DefaultKeyRange(ds, cfg.Scale)
-								var total Result
-								var best float64
-								for trial := 0; trial < cfg.Trials; trial++ {
-									// One recorder per trial: each trial builds a fresh
-									// set, so sharing a recorder would pile up rings with
-									// duplicate labels. The last trial's recorder feeds
-									// TraceDump.
-									var rec *trace.Recorder
-									if !cfg.NoTrace {
-										rec = trace.NewRecorder(trace.Config{EventsPerRing: 1024})
-										lastRec = rec
-									}
-									res, err := RunTrial(TrialCfg{
-										DS: ds, Tech: tech, KeyRange: keyRange,
-										Threads: threads, Duration: cfg.Duration,
-										Seed:      cfg.Seed + int64(trial)*31337,
-										Shards:    shards,
-										Trace:     rec,
-										Combine:   combine,
-										Technique: tq,
-									})
-									if err != nil {
-										return rep, err
-									}
-									if t := res.TotalOpsPerUs(); t > best {
-										best = t
-									}
-									total.Merge(&res)
+								if t := res.TotalOpsPerUs(); t > best {
+									best = t
 								}
-								ptShards := 0
-								if shards > 1 {
-									ptShards = shards
-								}
-								pt := RQPoint{
-									DS: ds.String(), Tech: tech.String(), Threads: nt,
-									RQPct: mix.RQPct, RQSize: cfg.RQSize, KeyRange: keyRange,
-									Trials:           cfg.Trials,
-									Shards:           ptShards,
-									Combine:          combine,
-									Technique:        tq.String(),
-									ElapsedMs:        total.Elapsed.Milliseconds(),
-									Ops:              total.Ops,
-									OpsPerUs:         total.TotalOpsPerUs(),
-									BestOpsPerUs:     best,
-									UpdatesPerUs:     total.UpdatesPerUs(),
-									RQsPerUs:         total.RQsPerUs(),
-									RQP50ns:          int64(total.RQLatencyPercentile(50)),
-									RQP90ns:          int64(total.RQLatencyPercentile(90)),
-									RQP99ns:          int64(total.RQLatencyPercentile(99)),
-									LimboVisited:     total.LimboVisit,
-									PeakLimboNodes:   total.PeakLimboNodes,
-									PeakLimboBytes:   total.PeakLimboBytes,
-									TSShared:         total.Obs.Counter("ebrrq_rq_ts_shared"),
-									TSAdvanced:       total.Obs.Counter("ebrrq_rq_ts_advanced"),
-									FenceShared:      total.Obs.Counter("ebrrq_rq_fence_shared"),
-									BagsSkipped:      total.Obs.Counter("ebrrq_rq_bags_skipped"),
-									BagsSwept:        total.Obs.Counter("ebrrq_rq_bags_swept"),
-									CombineBatches:   total.Obs.Counter("ebrrq_combine_batches_total"),
-									CombineOps:       total.Obs.Counter("ebrrq_combine_ops_total"),
-									CombineFallbacks: total.Obs.Counter("ebrrq_combine_solo_fallbacks_total"),
-									RQTSWaitNs:       total.Obs.Counter("ebrrq_rq_ts_wait_ns_total"),
-									RQTraverseNs:     total.Obs.Counter("ebrrq_rq_traverse_ns_total"),
-									RQAnnounceNs:     total.Obs.Counter("ebrrq_rq_announce_ns_total"),
-									RQLimboNs:        total.Obs.Counter("ebrrq_rq_limbo_ns_total"),
-								}
-								rep.Points = append(rep.Points, pt)
-								if cfg.Out != nil {
-									fmt.Fprintf(cfg.Out,
-										"%-24s %6.3f ops/us  %6.3f rq/us  p50 %s  p99 %s  ts_shared %d  bags_skipped %d\n",
-										pt.Key(), pt.OpsPerUs, pt.RQsPerUs,
-										time.Duration(pt.RQP50ns), time.Duration(pt.RQP99ns),
-										pt.TSShared, pt.BagsSkipped)
-									if split := pt.PhaseSplit(); split != "" {
-										fmt.Fprintf(cfg.Out, "%-24s   rq phases: %s\n", "", split)
-									}
-									if combine && pt.CombineBatches > 0 {
-										fmt.Fprintf(cfg.Out,
-											"%-24s   combining: %d windows / %d ops (%.2f ops/window), %d solo fallbacks\n",
-											"", pt.CombineBatches, pt.CombineOps,
-											float64(pt.CombineOps)/float64(pt.CombineBatches),
-											pt.CombineFallbacks)
-									}
+								total.Merge(&res)
+							}
+							ptShards := 0
+							if shards > 1 {
+								ptShards = shards
+							}
+							pt := RQPoint{
+								DS: ds.String(), Tech: tech.String(), Threads: nt,
+								RQPct: mix.RQPct, RQSize: cfg.RQSize, KeyRange: keyRange,
+								Trials:         cfg.Trials,
+								Shards:         ptShards,
+								Technique:      tq.String(),
+								ElapsedMs:      total.Elapsed.Milliseconds(),
+								Ops:            total.Ops,
+								OpsPerUs:       total.TotalOpsPerUs(),
+								BestOpsPerUs:   best,
+								UpdatesPerUs:   total.UpdatesPerUs(),
+								RQsPerUs:       total.RQsPerUs(),
+								RQP50ns:        int64(total.RQLatencyPercentile(50)),
+								RQP90ns:        int64(total.RQLatencyPercentile(90)),
+								RQP99ns:        int64(total.RQLatencyPercentile(99)),
+								LimboVisited:   total.LimboVisit,
+								PeakLimboNodes: total.PeakLimboNodes,
+								PeakLimboBytes: total.PeakLimboBytes,
+								TSShared:       total.Obs.Counter("ebrrq_rq_ts_shared"),
+								TSAdvanced:     total.Obs.Counter("ebrrq_rq_ts_advanced"),
+								FenceShared:    total.Obs.Counter("ebrrq_rq_fence_shared"),
+								BagsSkipped:    total.Obs.Counter("ebrrq_rq_bags_skipped"),
+								BagsSwept:      total.Obs.Counter("ebrrq_rq_bags_swept"),
+								RQTSWaitNs:     total.Obs.Counter("ebrrq_rq_ts_wait_ns_total"),
+								RQTraverseNs:   total.Obs.Counter("ebrrq_rq_traverse_ns_total"),
+								RQAnnounceNs:   total.Obs.Counter("ebrrq_rq_announce_ns_total"),
+								RQLimboNs:      total.Obs.Counter("ebrrq_rq_limbo_ns_total"),
+							}
+							rep.Points = append(rep.Points, pt)
+							if cfg.Out != nil {
+								fmt.Fprintf(cfg.Out,
+									"%-24s %6.3f ops/us  %6.3f rq/us  p50 %s  p99 %s  ts_shared %d  bags_skipped %d\n",
+									pt.Key(), pt.OpsPerUs, pt.RQsPerUs,
+									time.Duration(pt.RQP50ns), time.Duration(pt.RQP99ns),
+									pt.TSShared, pt.BagsSkipped)
+								if split := pt.PhaseSplit(); split != "" {
+									fmt.Fprintf(cfg.Out, "%-24s   rq phases: %s\n", "", split)
 								}
 							}
 						}
@@ -455,13 +413,6 @@ func ReadRQReport(rd io.Reader) (RQReport, error) {
 // stricter than the plain comparison) and floored at 0.75 so a genuine
 // across-the-board regression beyond 25% still trips.
 //
-// Combined-funnel cells (Combine set) are excluded from the gate: they are
-// A/B instrumentation for EXPERIMENTS.md, and on an oversubscribed host
-// their throughput is dominated by which batching regime the scheduler
-// happens to settle into for the whole process — a coin flip worth 40%+
-// that no within-run estimator can average away. The solo cells, the paths
-// every default configuration exercises, are what the gate protects.
-//
 // It returns one message per regressed cell; an empty slice means the gate
 // passes. Cells only present on one side are ignored (the benchmark matrix
 // may grow).
@@ -477,9 +428,6 @@ func CompareRQReports(baseline, current RQReport, maxRegress float64) []string {
 	}
 	var cells []cell
 	for _, p := range current.Points {
-		if p.Combine {
-			continue
-		}
 		b, ok := base[p.Key()]
 		if !ok || b.OpsPerUs <= 0 {
 			continue

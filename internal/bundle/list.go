@@ -146,9 +146,15 @@ func (l *List) Insert(t *Thread, key, value int64) bool {
 		// continue through n's own bundle — at worst waiting out the
 		// stamp, never finding it empty.
 		en := n.bun.prepend(lraw(curr))
+		// Hold n's lock until its seed entry is stamped: the raw link makes
+		// n a lockable predecessor at once, and an insert after n that read
+		// the clock before we do would put an older timestamp above the
+		// seed, hiding its node from queries between the two timestamps.
+		n.mu.Lock()
 		pred.next.Store(n) // point-op linearization
 		ep := pred.bun.prepend(lraw(n))
 		v := t.stamp2(en, ep) // range-query linearization
+		n.mu.Unlock()
 		n.SetITime(v)
 		t.record(v, lhdr(n), nil)
 		t.gcInline(&pred.bun)

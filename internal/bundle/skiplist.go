@@ -204,10 +204,14 @@ func (l *SkipList) Insert(t *Thread, key, value int64) bool {
 		}
 		// Seed the new node's bundle pending, publish the bottom link,
 		// version it, stamp — the range-query linearization (see list.go).
+		// n stays locked until its seed entry is stamped, so no insert after
+		// n can stamp an older timestamp above the seed (see list.go).
 		en := n.bun.prepend(sraw(succs[0]))
+		n.mu.Lock()
 		preds[0].next[0].Store(n)
 		ep := preds[0].bun.prepend(sraw(n))
 		v := t.stamp2(en, ep)
+		n.mu.Unlock()
 		n.SetITime(v)
 		for lv := 1; lv <= topLevel; lv++ {
 			preds[lv].next[lv].Store(n)

@@ -300,7 +300,10 @@ func (t *Tree) RangeQuery(th *rqprov.Thread, low, high int64) []epoch.KV {
 				stack = append(stack, c)
 			}
 		}
-		if high > k {
+		// >=, not >: while a two-child delete is between its two CASes the
+		// original successor sits in the right subtree of its same-key copy,
+		// and a query that excludes the copy (itime >= ts) must still reach it.
+		if high >= k {
 			if c := ptr(n.child[1].Load()); c != nil {
 				stack = append(stack, c)
 			}

@@ -26,10 +26,6 @@ type ChaosCfg struct {
 	RQRange   int64         // default 32
 	Duration  time.Duration // default 250ms
 	Seed      int64
-	// Combine enables the aggregating update funnel for the run, so the
-	// injected faults hit combiner windows too (a crashed combiner must
-	// release its followers with ErrNeutralized, never strand them).
-	Combine bool
 	// Faults maps failpoint sites to the actions armed for the run. Every
 	// site must be hit at least once or the run fails (a site that never
 	// fires is testing nothing).
@@ -120,13 +116,12 @@ func RunChaos(t *testing.T, mode rqprov.Mode, limboSorted bool, build Builder, c
 	// wedges or fails validation the dump is the post-mortem.
 	rec := trace.NewRecorder(trace.Config{EventsPerRing: 1024})
 	p := rqprov.New(rqprov.Config{
-		MaxThreads:     n,
-		Mode:           mode,
-		LimboSorted:    limboSorted,
-		MaxAnnounce:    64,
-		Recorder:       checker,
-		Trace:          rec,
-		CombineUpdates: cfg.Combine,
+		MaxThreads:  n,
+		Mode:        mode,
+		LimboSorted: limboSorted,
+		MaxAnnounce: 64,
+		Recorder:    checker,
+		Trace:       rec,
 	})
 	s := build(p)
 
@@ -174,14 +169,11 @@ func RunChaos(t *testing.T, mode rqprov.Mode, limboSorted bool, build Builder, c
 
 	var crashes atomic.Int64
 	// runOp executes one operation, converting an injected panic into a
-	// crash signal; any other panic is a real bug and propagates. With
-	// combining on, an injected combiner crash surfaces on the followers as
-	// epoch.ErrNeutralized (the release path), so that is a tolerated
-	// casualty too — the follower deregisters and revives like any crash.
+	// crash signal; any other panic is a real bug and propagates.
 	runOp := func(th *rqprov.Thread, op func(th *rqprov.Thread)) (crashed bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(fault.PanicError); !ok && r != epoch.ErrNeutralized {
+				if _, ok := r.(fault.PanicError); !ok {
 					panic(r)
 				}
 				th.Deregister()

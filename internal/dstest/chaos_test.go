@@ -145,62 +145,6 @@ func TestChaosPanicRQ(t *testing.T) {
 	}
 }
 
-// TestChaosCombineDelay is the combiner-enabled column of the chaos matrix:
-// the same mixed workload with every update routed through the aggregating
-// funnel, and delays stretching both funnel windows — the Pending gap after
-// publication (so real multi-op batches form and follower withdrawals race
-// claims) and the per-op application step inside the shared-clock window (so
-// RQ drains collide with long combiner holds). Delays strand no state, so
-// every structure must validate clean.
-func TestChaosCombineDelay(t *testing.T) {
-	for _, ds := range chaosStructures {
-		for _, mode := range chaosModes() {
-			t.Run(ds.name+"/"+mode.String(), func(t *testing.T) {
-				dstest.RunChaos(t, mode, ds.limboSorted, ds.build, dstest.ChaosCfg{
-					Duration: chaosDuration(),
-					Seed:     45,
-					Combine:  true,
-					Faults: map[string]fault.Action{
-						"rqprov.combine.published": fault.Delay(50 * time.Microsecond).After(20).Times(60),
-						"rqprov.combine.op":        fault.Delay(100 * time.Microsecond).After(20).Times(40),
-					},
-				})
-			})
-		}
-	}
-}
-
-// TestChaosCombineLeaderCrash crashes combiners mid-batch under the full
-// mixed workload: the leader dies at the per-op failpoint inside the window,
-// claimed followers surface epoch.ErrNeutralized and revive as crashes, and
-// afterwards the run must still validate, un-wedge, and drain limbo — the
-// funnel's crash contract holding under load, not just in the deterministic
-// unit test. Restricted to structures with lock-free update paths: a panic
-// unwinding a follower blocked inside UpdateCAS would strand any
-// structure-level locks it holds (same restriction as TestChaosPanicUpdate).
-func TestChaosCombineLeaderCrash(t *testing.T) {
-	for _, ds := range chaosStructures {
-		if !ds.lockFreeUpdates {
-			continue
-		}
-		for _, mode := range chaosModes() {
-			t.Run(ds.name+"/"+mode.String(), func(t *testing.T) {
-				stats := dstest.RunChaos(t, mode, ds.limboSorted, ds.build, dstest.ChaosCfg{
-					Duration: chaosDuration(),
-					Seed:     46,
-					Combine:  true,
-					Faults: map[string]fault.Action{
-						"rqprov.combine.op": fault.Panic("combiner crash mid-batch").After(200).Times(3),
-					},
-				})
-				if stats.Crashes == 0 {
-					t.Fatal("no injected combiner crash was recovered")
-				}
-			})
-		}
-	}
-}
-
 // TestChaosStallMidUpdate is the acceptance scenario for the stall-tolerant
 // stack: a thread is force-stalled mid-update (inside the provider, after
 // the epoch announcement), long enough for the watchdog to flag it and for

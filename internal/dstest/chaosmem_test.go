@@ -32,7 +32,7 @@ func TestChaosMemBound(t *testing.T) {
 		for _, mode := range chaosModes() {
 			t.Run(ds.name+"/"+mode.String(), func(t *testing.T) {
 				// The canonical long proof runs once; the other structure ×
-				// mode combinations re-check the protocol on a shorter window.
+				// mode pairs re-check the protocol on a shorter window.
 				d := 3 * time.Second
 				if testing.Short() {
 					d = long

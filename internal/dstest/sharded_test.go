@@ -137,7 +137,7 @@ func TestShardedStallCrossShardRQ(t *testing.T) {
 // budget the RQ would block exactly like the lock-mode test. With a positive
 // WaitBudget the RQ must instead resolve the announcement conservatively —
 // include the announced key and complete WITHOUT the updater ever resuming —
-// and the combined history must still replay-validate: the delete retries
+// and the merged history must still replay-validate: the delete retries
 // after release at a timestamp >= the RQ's, so including the key is the
 // linearizable outcome.
 func TestShardedStallLockFreeBoundedWaitRQ(t *testing.T) {

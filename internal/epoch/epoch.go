@@ -861,13 +861,6 @@ func (t *Thread) CurrentEpoch() uint64 { return t.localEpoch }
 // at the head of the thread's current limbo list. The node will be handed to
 // the domain's free function only after every concurrently running operation
 // has completed.
-//
-// The bag's maxDTime fence is raised from the node's already-published dtime
-// (the fence-before-link ordering below). This is what lets the provider's
-// aggregating update funnel stay out of this package: a combined batch's
-// updates all carry the batch's single timestamp as dtime, and each owner
-// retires its own victims after that dtime is published, so the fence takes
-// the batch's single dtime with no batch-aware machinery here.
 func (t *Thread) Retire(n *Node) {
 	if !t.inOp {
 		panic("epoch: Retire outside operation")

@@ -142,19 +142,6 @@ type Config struct {
 	// for the limbo count to fall below the hard limit before giving up
 	// with ErrMemoryPressure. 0 fails fast.
 	PressureWait time.Duration
-	// CombineUpdates enables the aggregating update funnel (DESIGN.md §12):
-	// concurrent updaters publish their linearizing CAS into a per-thread
-	// cell and one combiner applies up to CombineBatch of them inside a
-	// single shared-clock window, amortizing the lock handoff (Lock/HTM)
-	// and the timestamp validation (lock-free) over the batch. Followers
-	// wait under SpinBudget plus a bounded yield grace and fall back to the
-	// solo path, so a stalled combiner cannot wedge the funnel. No effect
-	// in ModeUnsafe.
-	CombineUpdates bool
-	// CombineBatch caps how many pending ops one combiner drains per
-	// window. 0 (with CombineUpdates set) defaults to MaxThreads — every
-	// concurrent updater can ride one window.
-	CombineBatch int
 }
 
 // Recorder observes timestamped updates for offline validation.
@@ -206,26 +193,6 @@ type Provider struct {
 	pressureWait time.Duration
 	met          provMetrics
 
-	// Aggregating update funnel (combine.go). combineBatch is the maximum
-	// ops one combiner drains per window; 0 disables combining. combineLock
-	// elects the combiner: whoever CASes it 0→1 drains the funnel.
-	// combineSpin is the follower spin budget before yielding: SpinBudget
-	// normally, 0 when GOMAXPROCS exceeds the core count — spinning only
-	// makes sense when the combiner can run on another core, and on an
-	// oversubscribed host a spinning follower burns the very quantum the
-	// combiner needs. combineYield (same condition) makes publishers yield
-	// once between publishing and contending for the combiner role: when
-	// goroutines outnumber processors, publish-overlap has to be
-	// manufactured by letting other runnable updaters publish first, or
-	// every batch is a batch of one. When GOMAXPROCS <= NumCPU the overlap
-	// is physical and the yield would only donate the publisher's quantum
-	// to unrelated goroutines (a range query mid-sweep can hold it for a
-	// full preemption slice).
-	combineBatch int
-	combineSpin  int
-	combineYield bool
-	combineLock  atomic.Uint32
-
 	// Flight recorder (nil when untraced). rings caches one ring per thread
 	// slot so crash/revive churn (chaos tests) reuses rings instead of
 	// exhausting the recorder's MaxRings budget; guarded by mu.
@@ -264,16 +231,6 @@ type provMetrics struct {
 	// backpressured counts updates AdmitUpdate rejected (after any
 	// PressureWait) because limbo sat at the hard memory limit.
 	backpressured *obs.Counter // ebrrq_updates_backpressured_total
-
-	// Aggregating-funnel family: combBatches counts combiner windows,
-	// combOps the updates applied inside them (combOps/combBatches is the
-	// realized amortization factor), combFallbacks the followers that
-	// exhausted their wait grace and went solo, combBatchSize the batch-size
-	// distribution.
-	combBatches   *obs.Counter   // ebrrq_combine_batches_total
-	combOps       *obs.Counter   // ebrrq_combine_ops_total
-	combFallbacks *obs.Counter   // ebrrq_combine_solo_fallbacks_total
-	combBatchSize *obs.Histogram // ebrrq_combine_batch_size
 
 	// RQ hot-path scaling family: tsShared counts range queries that
 	// adopted a concurrently installed timestamp, tsAdvanced those that won
@@ -334,17 +291,6 @@ func (p *Provider) EnableMetrics(reg *obs.Registry) {
 		backpressured: reg.Counter("ebrrq_updates_backpressured_total",
 			"updates rejected with ErrMemoryPressure at the hard limbo limit"),
 	}
-	// The combine family is registered in every configuration (like the HTM
-	// abort series) so exposition is stable; it only moves when
-	// CombineUpdates is enabled.
-	p.met.combBatches = reg.Counter("ebrrq_combine_batches_total",
-		"combiner windows: one shared-clock window amortized over a batch of updates")
-	p.met.combOps = reg.Counter("ebrrq_combine_ops_total",
-		"updates applied inside combiner windows")
-	p.met.combFallbacks = reg.Counter("ebrrq_combine_solo_fallbacks_total",
-		"updates that exhausted the funnel wait grace and fell back to the solo path")
-	p.met.combBatchSize = reg.Histogram("ebrrq_combine_batch_size",
-		"updates drained per combiner window")
 	const escHelp = "timestamp waits that exhausted the spin budget and began yielding"
 	const fbHelp = "timestamp waits that exhausted the wait budget and resolved conservatively"
 	p.met.escI = reg.CounterL("ebrrq_await_escalations_total", `kind="itime"`, escHelp)
@@ -476,17 +422,6 @@ func New(cfg Config) *Provider {
 		trace:        cfg.Trace,
 		traceLabel:   cfg.TraceLabel,
 	}
-	if cfg.CombineUpdates {
-		if cfg.CombineBatch <= 0 {
-			cfg.CombineBatch = cfg.MaxThreads
-		}
-		p.combineBatch = cfg.CombineBatch
-		p.combineSpin = cfg.SpinBudget
-		if runtime.GOMAXPROCS(0) > runtime.NumCPU() {
-			p.combineSpin = 0
-			p.combineYield = true
-		}
-	}
 	p.dom.SetLimboLimits(cfg.LimboSoftLimit, cfg.LimboHardLimit)
 	if cfg.Trace != nil {
 		p.rings = make([]*trace.Ring, cfg.MaxThreads)
@@ -511,10 +446,6 @@ func (p *Provider) MaxAnnounce() int { return p.maxAnnounce }
 
 // Domain returns the provider's EBR domain (for configuring reclamation).
 func (p *Provider) Domain() *epoch.Domain { return p.dom }
-
-// CombineBatch returns the configured combiner batch cap (0 when the
-// aggregating update funnel is disabled).
-func (p *Provider) CombineBatch() int { return p.combineBatch }
 
 // Timestamp returns the current global timestamp (for tests and stats).
 func (p *Provider) Timestamp() uint64 { return p.ts.Load() }
@@ -616,14 +547,7 @@ type Thread struct {
 
 	// desc is the announced DCSS descriptor of the thread's in-flight
 	// update (ModeLockFree), carrying the timestamp payload for helpers.
-	// With combining enabled the combiner installs it on the owner's
-	// behalf; the owner clears it after consuming the batch result.
 	desc atomic.Pointer[dcss.Descriptor]
-
-	// comb is this thread's funnel cell (combine.go); combBatch is the
-	// combiner-side scratch of claimed threads, reused across batches.
-	comb      combineOp
-	combBatch []*Thread
 
 	// Range-query state (private to the owner).
 	ts        uint64
@@ -709,41 +633,11 @@ func (t *Thread) UnpinEpoch() { t.ep.Unpin() }
 // concurrent range query that was waiting on one re-reads dtime and decides
 // from whatever the aborted update actually published.
 func (t *Thread) Abort() {
-	t.settleFunnel()
 	t.desc.Store(nil)
 	t.unannounceAll(len(t.announce))
 	t.rqActive = false
 	t.pinnedTS = 0
 	t.ep.AbortOp()
-}
-
-// settleFunnel withdraws or drains this thread's combining-funnel cell so
-// Abort (panic recovery) and Deregister never leave a pending op behind for
-// a later combiner to claim against recycled thread state. A Pending op is
-// withdrawn by CAS; a Claimed op waits out the in-flight combiner window
-// (bounded: the combiner publishes every claimed op's terminal status on its
-// way out, panic included). A Done result found here is dropped without the
-// owner-side publication — the same "died between CAS and publication"
-// shape the conservative timestamp waits already tolerate for solo updates.
-func (t *Thread) settleFunnel() {
-	op := &t.comb
-	for {
-		switch op.status.Load() {
-		case combFree:
-			return
-		case combPending:
-			if op.status.CompareAndSwap(combPending, combFree) {
-				op.clear()
-				return
-			}
-		case combClaimed:
-			runtime.Gosched()
-		default: // combDone, combNeutralized
-			op.clear()
-			op.status.Store(combFree)
-			return
-		}
-	}
 }
 
 // Deregister permanently releases the thread's slot: in-flight state is
@@ -756,7 +650,6 @@ func (t *Thread) Deregister() {
 	if !t.dead.CompareAndSwap(false, true) {
 		return
 	}
-	t.settleFunnel()
 	t.desc.Store(nil)
 	t.unannounceAll(len(t.announce))
 	t.rqActive = false
@@ -877,32 +770,11 @@ func (t *Thread) UpdateCAS(slot *dcss.Slot, old, new unsafe.Pointer, inodes, dno
 		// Pre-linearization poison checkpoint: a thread that resumed after
 		// being neutralized lost its epoch protection, so the nodes its
 		// traversal found (old/new) can no longer be trusted — the update
-		// must abort before it can linearize against them. Running the check
-		// here keeps poisoned (and, at the set layer, backpressured) ops out
-		// of the combining funnel: an op is rejected before it can enter a
-		// batch.
+		// must abort before it can linearize against them.
 		t.ep.CheckNeutralized()
-		if p.combineBatch > 0 {
-			// The combined path defers the deletion announcement to the
-			// combiner, which raises it inside the window immediately before
-			// the op's CAS. Announcing here — before publication — would leave
-			// the announcement unresolved (dtime == 0) for the op's entire
-			// funnel residence, and every concurrent range query's
-			// announcement sweep would spin on it.
-			return t.combinedUpdateCAS(slot, old, new, inodes, dnodes, retireDeleted)
-		}
 		t.announceAll(dnodes)
 		fault.Inject("rqprov.update.announced")
 	}
-	return t.soloUpdateCAS(slot, old, new, inodes, dnodes, retireDeleted)
-}
-
-// soloUpdateCAS is the uncombined update path: each updater takes its own
-// shared-clock window. It is both the default (combining disabled) and the
-// fallback a follower runs after withdrawing from the funnel on budget
-// exhaustion.
-func (t *Thread) soloUpdateCAS(slot *dcss.Slot, old, new unsafe.Pointer, inodes, dnodes []*epoch.Node, retireDeleted bool) bool {
-	p := t.prov
 	switch p.mode {
 	case ModeUnsafe:
 		if !slot.CAS(old, new) {
@@ -1081,7 +953,7 @@ func (t *Thread) PoolMiss() { t.prov.met.poolMisses.Inc(t.id) }
 // waiting out every update critical section in flight) certifies a fence:
 // the TS value read inside the drained section is published in tsFenced,
 // and every update with a smaller timestamp has completed its linearizing
-// CAS. Drains combine — a winner whose advance preceded an in-flight
+// CAS. Drains coalesce — a winner whose advance preceded an in-flight
 // drain's TS read is fenced by that drain and skips the exclusive lock,
 // and adopters wait for any fence newer than their read — so N concurrent
 // queries cost ~1 increment and ~1 drain. In lock-free mode DCSS already

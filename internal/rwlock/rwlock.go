@@ -21,12 +21,14 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"ebrrq/internal/fault"
 	"ebrrq/internal/obs"
 )
 
-// spinThenYield spins briefly and then yields the processor; on the
-// oversubscribed single-CPU machines these experiments run on, yielding
-// quickly is essential for progress.
+// spinThenYield spins briefly and then yields the processor: whenever
+// goroutines outnumber processors the holder being waited for may need this
+// processor to make progress, so spinning past a few iterations only delays
+// the release.
 func spinThenYield(i int) {
 	if i < 16 {
 		return
@@ -50,7 +52,10 @@ func (l *FetchAddRW) AcquireShared() {
 		if v&writerBit == 0 {
 			return
 		}
-		// A writer holds or is acquiring the lock; back off.
+		// A writer holds or is acquiring the lock; back off. Until the
+		// decrement below lands, the word carries this reader's transient
+		// increment — ReleaseExclusive must not overwrite it.
+		fault.Inject("rwlock.shared.backoff")
 		l.state.Add(^uint64(0)) // -1
 		for j := 0; l.state.Load()&writerBit != 0; j++ {
 			spinThenYield(j)
@@ -75,9 +80,12 @@ func (l *FetchAddRW) AcquireExclusive() {
 	}
 }
 
-// ReleaseExclusive releases an exclusive-mode acquisition.
+// ReleaseExclusive releases an exclusive-mode acquisition. It subtracts the
+// writer bit rather than storing zero: a reader backing off in AcquireShared
+// may sit between its increment and its decrement, and a store landing there
+// would let the decrement underflow the word and leave writerBit set for good.
 func (l *FetchAddRW) ReleaseExclusive() {
-	l.state.Store(0)
+	l.state.Add(^(writerBit - 1)) // -writerBit
 }
 
 // ExclusiveHeld reports whether the lock is currently held in exclusive mode

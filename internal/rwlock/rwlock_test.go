@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ebrrq/internal/fault"
 )
 
 // exerciseRW checks mutual exclusion invariants for any reader/writer lock.
@@ -112,4 +114,46 @@ func TestDistRWAbortAccounting(t *testing.T) {
 	if l.Aborts.Load() == 0 {
 		t.Fatal("expected at least one emulated-HTM abort")
 	}
+}
+
+// TestFetchAddRWStalledBackoffRelease is the regression for the wedge
+// where ReleaseExclusive stored zero over a backing-off reader's transient
+// increment: the reader is parked between its Add(1) and Add(-1), the writer
+// releases, and the reader's decrement must bring the word back to zero
+// rather than underflow it with writerBit stuck on.
+func TestFetchAddRWStalledBackoffRelease(t *testing.T) {
+	if !fault.Enabled {
+		t.Skip("requires -tags failpoints")
+	}
+	defer fault.Reset()
+	parked, resume := make(chan struct{}), make(chan struct{})
+	fault.Arm("rwlock.shared.backoff", fault.Hook(func(string) {
+		close(parked)
+		<-resume
+	}).Once())
+
+	var l FetchAddRW
+	l.AcquireExclusive()
+	done := make(chan struct{})
+	go func() {
+		l.AcquireShared() // sees the writer, parks mid back-off
+		l.ReleaseShared()
+		close(done)
+	}()
+	<-parked
+	l.ReleaseExclusive()
+	close(resume)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("reader wedged after the writer released: state = %#x", l.state.Load())
+	}
+	if v := l.state.Load(); v != 0 {
+		t.Fatalf("state = %#x after all holders released, want 0", v)
+	}
+	// No other goroutine is left, so a second writer must get in first try.
+	if !l.state.CompareAndSwap(0, writerBit) {
+		t.Fatalf("second exclusive acquisition failed: state = %#x", l.state.Load())
+	}
+	l.ReleaseExclusive()
 }

@@ -78,13 +78,6 @@ type Report struct {
 	TSAdopt   int             `json:"ts_shared"`
 	TSPinned  int             `json:"ts_pinned"`
 	CrossRQ   Stat            `json:"cross_rq"`
-	// Combine amortization (aggregating update funnel): how many combiner
-	// windows ran, how many updates they carried, the window duration and
-	// the publication-to-result follower wait.
-	CombineBatches int  `json:"combine_batches"`
-	CombineOps     int  `json:"combine_ops"`
-	CombineWindow  Stat `json:"combine_window"`
-	CombineWait    Stat `json:"combine_wait"`
 	Stalls    []StallInfo     `json:"stalls,omitempty"`
 	InFlight  []InFlightOp    `json:"in_flight,omitempty"`
 	SlowOps   int             `json:"slow_ops"`
@@ -118,7 +111,7 @@ func BuildReport(s *Snapshot) *Report {
 	}
 	opDurs := map[string][]int64{}
 	phDurs := map[string][]int64{}
-	var xrqDurs, combWindows, combWaits []int64
+	var xrqDurs []int64
 	var tMin, tMax int64
 	for _, rg := range s.Rings {
 		var open *InFlightOp
@@ -155,12 +148,6 @@ func BuildReport(s *Snapshot) *Report {
 				rep.TSPinned++
 			case EvCrossRQEnd:
 				xrqDurs = append(xrqDurs, int64(ev.Arg2))
-			case EvCombineEnd:
-				rep.CombineBatches++
-				rep.CombineOps += int(ev.Arg1)
-				combWindows = append(combWindows, int64(ev.Arg2))
-			case EvCombineWait:
-				combWaits = append(combWaits, int64(ev.Arg2))
 			case EvStall:
 				rep.Stalls = append(rep.Stalls, StallInfo{
 					Ring:     rg.Label,
@@ -188,8 +175,6 @@ func BuildReport(s *Snapshot) *Report {
 		rep.Phases[k] = makeStat(d)
 	}
 	rep.CrossRQ = makeStat(xrqDurs)
-	rep.CombineWindow = makeStat(combWindows)
-	rep.CombineWait = makeStat(combWaits)
 	sort.Slice(rep.Stalls, func(a, b int) bool { return rep.Stalls[a].AtNs < rep.Stalls[b].AtNs })
 	return rep
 }
@@ -248,13 +233,6 @@ func (r *Report) WriteText(w io.Writer) {
 	if r.CrossRQ.Count > 0 {
 		fmt.Fprintf(w, "cross-shard RQs: %d, mean %s, p99 %s\n",
 			r.CrossRQ.Count, fmtNs(r.CrossRQ.MeanNs), fmtNs(r.CrossRQ.P99Ns))
-	}
-	if r.CombineBatches > 0 {
-		fmt.Fprintf(w, "combining: %d windows carried %d updates (%.2f ops/window); window mean %s p99 %s; wait mean %s p99 %s\n",
-			r.CombineBatches, r.CombineOps,
-			float64(r.CombineOps)/float64(r.CombineBatches),
-			fmtNs(r.CombineWindow.MeanNs), fmtNs(r.CombineWindow.P99Ns),
-			fmtNs(r.CombineWait.MeanNs), fmtNs(r.CombineWait.P99Ns))
 	}
 
 	for _, st := range r.Stalls {
@@ -323,14 +301,6 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 					Name: fmt.Sprintf("stall t%d", ev.Arg1), Ph: "i",
 					Ts: us(ev.Time), Pid: 1, Tid: tid, S: "g",
 					Args: map[string]any{"stuck_ns": ev.Arg2},
-				})
-			case EvCombineEnd:
-				dur := int64(ev.Arg2)
-				evs = append(evs, chromeEvent{
-					Name: "combine", Ph: "X",
-					Ts: us(ev.Time - dur), Dur: us(dur),
-					Pid: 1, Tid: tid,
-					Args: map[string]any{"batch": ev.Arg1},
 				})
 			default:
 				if ph, ok := phaseOf(ev.Type); ok {

@@ -27,17 +27,14 @@ func fixedSnapshot() *Snapshot {
 					{Seq: 1, Time: 1_000, Type: EvOpBegin, Arg1: OpInsert, Arg2: 42},
 					{Seq: 2, Time: 1_800, Type: EvRetire, Arg1: ^uint64(0), Arg2: 3},
 					{Seq: 3, Time: 2_000, Type: EvOpEnd, Arg1: OpInsert, Arg2: 1_000},
-					{Seq: 4, Time: 3_000, Type: EvCombineBegin, Arg1: 3, Arg2: 0},
-					{Seq: 5, Time: 5_000, Type: EvCombineEnd, Arg1: 3, Arg2: 2_000},
-					{Seq: 6, Time: 5_200, Type: EvCombineWait, Arg1: 7, Arg2: 1_500},
-					{Seq: 7, Time: 10_000, Type: EvOpBegin, Arg1: OpRQ, Arg2: 5},
-					{Seq: 8, Time: 10_500, Type: EvTSAdvance, Arg1: 7, Arg2: 500},
-					{Seq: 9, Time: 13_500, Type: EvTraverse, Arg1: 9, Arg2: 3_000},
-					{Seq: 10, Time: 14_300, Type: EvAnnScan, Arg1: 4, Arg2: 800},
-					{Seq: 11, Time: 14_500, Type: EvLimboBag, Arg1: 6, Arg2: 1},
-					{Seq: 12, Time: 15_000, Type: EvLimboDone, Arg1: 6, Arg2: 700},
-					{Seq: 13, Time: 15_100, Type: EvOpEnd, Arg1: OpRQ, Arg2: 5_100},
-					{Seq: 14, Time: 20_000, Type: EvOpBegin, Arg1: OpDelete, Arg2: 13},
+					{Seq: 4, Time: 10_000, Type: EvOpBegin, Arg1: OpRQ, Arg2: 5},
+					{Seq: 5, Time: 10_500, Type: EvTSAdvance, Arg1: 7, Arg2: 500},
+					{Seq: 6, Time: 13_500, Type: EvTraverse, Arg1: 9, Arg2: 3_000},
+					{Seq: 7, Time: 14_300, Type: EvAnnScan, Arg1: 4, Arg2: 800},
+					{Seq: 8, Time: 14_500, Type: EvLimboBag, Arg1: 6, Arg2: 1},
+					{Seq: 9, Time: 15_000, Type: EvLimboDone, Arg1: 6, Arg2: 700},
+					{Seq: 10, Time: 15_100, Type: EvOpEnd, Arg1: OpRQ, Arg2: 5_100},
+					{Seq: 11, Time: 20_000, Type: EvOpBegin, Arg1: OpDelete, Arg2: 13},
 				},
 			},
 			{
@@ -52,8 +49,8 @@ func fixedSnapshot() *Snapshot {
 
 func TestBuildReport(t *testing.T) {
 	rep := BuildReport(fixedSnapshot())
-	if rep.Rings != 2 || rep.Events != 15 {
-		t.Fatalf("rings/events = %d/%d, want 2/15", rep.Rings, rep.Events)
+	if rep.Rings != 2 || rep.Events != 12 {
+		t.Fatalf("rings/events = %d/%d, want 2/12", rep.Rings, rep.Events)
 	}
 	if rep.SpanNs != 54_000 {
 		t.Fatalf("span = %d, want 54000", rep.SpanNs)
@@ -73,15 +70,6 @@ func TestBuildReport(t *testing.T) {
 	if rep.TSAdvance != 1 || rep.TSAdopt != 0 {
 		t.Fatalf("ts advance/adopt = %d/%d", rep.TSAdvance, rep.TSAdopt)
 	}
-	if rep.CombineBatches != 1 || rep.CombineOps != 3 {
-		t.Fatalf("combine batches/ops = %d/%d, want 1/3", rep.CombineBatches, rep.CombineOps)
-	}
-	if s := rep.CombineWindow; s.Count != 1 || s.TotalNs != 2_000 {
-		t.Fatalf("combine window = %+v, want one 2000ns window", s)
-	}
-	if s := rep.CombineWait; s.Count != 1 || s.TotalNs != 1_500 {
-		t.Fatalf("combine wait = %+v, want one 1500ns wait", s)
-	}
 	if len(rep.Stalls) != 1 || rep.Stalls[0].ThreadID != 0 || rep.Stalls[0].StuckNs != 35_000 {
 		t.Fatalf("stalls = %+v", rep.Stalls)
 	}
@@ -97,7 +85,6 @@ func TestBuildReport(t *testing.T) {
 		"STALL: thread 0 stuck",
 		"IN-FLIGHT: delete on t0",
 		"1 advanced, 0 shared",
-		"combining: 1 windows carried 3 updates (3.00 ops/window)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report text missing %q:\n%s", want, out)

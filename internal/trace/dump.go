@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Binary dump format (little-endian, version 1):
+// Binary dump format (little-endian, version 2):
 //
-//	magic   "EBRQTRC1"                     8 bytes
+//	magic   "EBRQTRC2"                     8 bytes
 //	wall    unix nanoseconds              u64
 //	mono    Now() at snapshot             u64
 //	refused rings refused past MaxRings   u64
@@ -22,9 +22,14 @@ import (
 //	  per slow op: labelLen u16, label, kind u64, dur u64, end u64,
 //	    nevents u32, events as above
 //
-// The format is append-only versioned via the magic's trailing digit.
+// The format is versioned via the magic's trailing digit. Version 2 has
+// the version-1 layout but a renumbered EventType space, so a version-1 dump
+// would decode to the wrong event names and is refused.
 
-const dumpMagic = "EBRQTRC1"
+const (
+	dumpMagic   = "EBRQTRC2"
+	dumpMagicV1 = "EBRQTRC1"
+)
 
 // Sanity caps for the reader: a corrupt header must not drive allocation.
 const (
@@ -69,6 +74,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	magic := make([]byte, len(dumpMagic))
 	if _, err := io.ReadFull(rd.r, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(magic) == dumpMagicV1 {
+		return nil, errors.New("trace: version 1 dump, re-record (event types were renumbered in version 2)")
 	}
 	if string(magic) != dumpMagic {
 		return nil, fmt.Errorf("trace: bad magic %q (want %q)", magic, dumpMagic)

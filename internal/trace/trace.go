@@ -121,16 +121,6 @@ const (
 	// wait) because limbo+quarantine reached the hard limit. arg1 = limbo
 	// node count observed, arg2 = the hard limit.
 	EvBackpressure
-	// EvCombineBegin: a thread became the update combiner and claimed a
-	// batch. arg1 = batch size, arg2 = 0.
-	EvCombineBegin
-	// EvCombineEnd: the combiner applied its batch inside one shared-clock
-	// window. arg1 = batch size, arg2 = window ns.
-	EvCombineEnd
-	// EvCombineWait: a funnel participant (combiner included) got its
-	// result back. arg1 = the batch timestamp, arg2 = ns from publication
-	// to consumption.
-	EvCombineWait
 	// EvBundleEnter: a bundle-technique range query began its as-of-ts
 	// traversal. arg1 = ts, arg2 = low key.
 	EvBundleEnter
@@ -177,8 +167,6 @@ var typeNames = map[EventType]string{
 	EvForceSweep: "force_sweep", EvNeutralize: "neutralize",
 	EvNeutralizeAck: "neutralize_ack", EvQuarantine: "quarantine",
 	EvQuarantineDrain: "quarantine_drain", EvBackpressure: "backpressure",
-	EvCombineBegin: "combine_begin", EvCombineEnd: "combine_end",
-	EvCombineWait: "combine_wait",
 	EvBundleEnter: "bundle_enter", EvBundleGC: "bundle_gc",
 }
 

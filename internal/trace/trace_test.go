@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -181,6 +182,12 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewBufferString("NOTATRACE")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// A version-1 dump has the same layout but older event numbering.
+	v1 := append([]byte(dumpMagicV1), buf.Bytes()[len(dumpMagic):]...)
+	if _, err := ReadSnapshot(bytes.NewReader(v1)); err == nil ||
+		!strings.Contains(err.Error(), "version 1 dump, re-record") {
+		t.Fatalf("version-1 dump: err = %v, want a re-record refusal", err)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //
 // Sharding trades bounded range-query fan-out for update scalability:
 // updates on different shards share nothing but the clock word (which
-// Lock/HTM updates only read), where a single Set funnels every update
+// Lock/HTM updates only read), where a single Set sends every update
 // through one lock, one announcement table and one limbo machinery.
 type Sharded struct {
 	ds     DataStructure
@@ -90,16 +90,6 @@ type ShardedOptions struct {
 	// PressureWait is each shard's bounded wait at the hard limit before an
 	// update is rejected with ErrMemoryPressure; see Options.PressureWait.
 	PressureWait time.Duration
-
-	// CombineUpdates enables each shard's aggregating update funnel (see
-	// Options.CombineUpdates). Funnels are per shard — updates only combine
-	// with updates routed to the same shard, so a batch's single window
-	// stays on one provider's lock and clock word.
-	CombineUpdates bool
-
-	// CombineBatch caps each shard's combiner batch; see
-	// Options.CombineBatch.
-	CombineBatch int
 }
 
 // shardedMetrics holds the router-layer aggregate observability handles;
@@ -188,8 +178,6 @@ func NewShardedWithOptions(d DataStructure, t Mode, maxThreads, shards int, opt 
 			LimboSoftLimit: opt.LimboSoftLimit,
 			LimboHardLimit: opt.LimboHardLimit,
 			PressureWait:   opt.PressureWait,
-			CombineUpdates: opt.CombineUpdates,
-			CombineBatch:   opt.CombineBatch,
 		}
 		if opt.Metrics != nil {
 			o.MetricLabels = fmt.Sprintf(`shard="%d"`, i)

@@ -64,9 +64,6 @@ var EBR Technique = ebrTechnique{}
 type techSet interface {
 	// newThread registers one goroutine, returning its per-thread handle.
 	newThread() (techThread, error)
-	// provider returns the underlying EBR provider, nil for every other
-	// technique (the deprecated Set.Provider escape hatch).
-	provider() *rqprov.Provider
 	// domain returns the epoch reclamation domain backing the set's node
 	// memory (watchdogs, limbo statistics), nil if there is none.
 	domain() *epoch.Domain
@@ -113,9 +110,6 @@ type techThread interface {
 	// pinTimestamp forces the thread's next range query to linearize at
 	// ts instead of taking its own timestamp (single-use).
 	pinTimestamp(ts uint64)
-	// providerThread returns the underlying EBR provider thread, nil for
-	// every other technique (the deprecated Thread.ProviderThread hatch).
-	providerThread() *rqprov.Thread
 }
 
 // ---------------------------------------------------------------------------
@@ -184,8 +178,6 @@ func (ebrTechnique) newSet(d DataStructure, m Mode, maxThreads int, opt Options,
 		LimboSoftLimit: opt.LimboSoftLimit,
 		LimboHardLimit: opt.LimboHardLimit,
 		PressureWait:   opt.PressureWait,
-		CombineUpdates: opt.CombineUpdates,
-		CombineBatch:   opt.CombineBatch,
 	})
 	if reg != nil {
 		prov.EnableMetrics(reg)
@@ -237,7 +229,6 @@ func (e *ebrSet) newThread() (techThread, error) {
 	return &ebrThread{impl: e.impl.newThread(pt), pt: pt}, nil
 }
 
-func (e *ebrSet) provider() *rqprov.Provider    { return e.prov }
 func (e *ebrSet) domain() *epoch.Domain         { return e.prov.Domain() }
 func (e *ebrSet) clock() rqprov.TimestampSource { return e.prov.Clock() }
 func (e *ebrSet) health() obs.HealthCheck       { return e.prov.Health() }
@@ -253,16 +244,15 @@ func (t *ebrThread) remove(key int64) bool            { return t.impl.remove(key
 func (t *ebrThread) contains(key int64) (int64, bool) { return t.impl.contains(key) }
 func (t *ebrThread) rangeQuery(low, high int64) []KV  { return t.impl.rangeQuery(low, high) }
 
-func (t *ebrThread) id() int                        { return t.pt.ID() }
-func (t *ebrThread) close()                         { t.pt.Deregister() }
-func (t *ebrThread) abort()                         { t.pt.Abort() }
-func (t *ebrThread) admitUpdate() error             { return t.pt.AdmitUpdate() }
-func (t *ebrThread) traceRing() *trace.Ring         { return t.pt.TraceRing() }
-func (t *ebrThread) lastRQTS() uint64               { return t.pt.LastRQTS() }
-func (t *ebrThread) pinEpoch()                      { t.pt.PinEpoch() }
-func (t *ebrThread) unpinEpoch()                    { t.pt.UnpinEpoch() }
-func (t *ebrThread) pinTimestamp(ts uint64)         { t.pt.PinTimestamp(ts) }
-func (t *ebrThread) providerThread() *rqprov.Thread { return t.pt }
+func (t *ebrThread) id() int                { return t.pt.ID() }
+func (t *ebrThread) close()                 { t.pt.Deregister() }
+func (t *ebrThread) abort()                 { t.pt.Abort() }
+func (t *ebrThread) admitUpdate() error     { return t.pt.AdmitUpdate() }
+func (t *ebrThread) traceRing() *trace.Ring { return t.pt.TraceRing() }
+func (t *ebrThread) lastRQTS() uint64       { return t.pt.LastRQTS() }
+func (t *ebrThread) pinEpoch()              { t.pt.PinEpoch() }
+func (t *ebrThread) unpinEpoch()            { t.pt.UnpinEpoch() }
+func (t *ebrThread) pinTimestamp(ts uint64) { t.pt.PinTimestamp(ts) }
 
 // ---------------------------------------------------------------------------
 // RLU baseline (no provider, no epoch domain, no clock)
@@ -276,7 +266,6 @@ func (r *rluSet) newThread() (techThread, error) {
 	return &rluThread{impl: r.impl.newThread(nil)}, nil
 }
 
-func (r *rluSet) provider() *rqprov.Provider    { return nil }
 func (r *rluSet) domain() *epoch.Domain         { return nil }
 func (r *rluSet) clock() rqprov.TimestampSource { return nil }
 func (r *rluSet) health() obs.HealthCheck       { return obs.HealthCheck{} }
@@ -291,13 +280,12 @@ func (t *rluThread) remove(key int64) bool            { return t.impl.remove(key
 func (t *rluThread) contains(key int64) (int64, bool) { return t.impl.contains(key) }
 func (t *rluThread) rangeQuery(low, high int64) []KV  { return t.impl.rangeQuery(low, high) }
 
-func (t *rluThread) id() int                        { return -1 }
-func (t *rluThread) close()                         {}
-func (t *rluThread) abort()                         {}
-func (t *rluThread) admitUpdate() error             { return nil }
-func (t *rluThread) traceRing() *trace.Ring         { return nil }
-func (t *rluThread) lastRQTS() uint64               { return 0 }
-func (t *rluThread) pinEpoch()                      {}
-func (t *rluThread) unpinEpoch()                    {}
-func (t *rluThread) pinTimestamp(uint64)            {}
-func (t *rluThread) providerThread() *rqprov.Thread { return nil }
+func (t *rluThread) id() int                { return -1 }
+func (t *rluThread) close()                 {}
+func (t *rluThread) abort()                 {}
+func (t *rluThread) admitUpdate() error     { return nil }
+func (t *rluThread) traceRing() *trace.Ring { return nil }
+func (t *rluThread) lastRQTS() uint64       { return 0 }
+func (t *rluThread) pinEpoch()              {}
+func (t *rluThread) unpinEpoch()            {}
+func (t *rluThread) pinTimestamp(uint64)    {}

@@ -74,7 +74,6 @@ func (b *bundleSet) newThread() (techThread, error) {
 	return &bundleThread{set: b, bt: bt}, nil
 }
 
-func (b *bundleSet) provider() *rqprov.Provider    { return nil }
 func (b *bundleSet) domain() *epoch.Domain         { return b.prov.Domain() }
 func (b *bundleSet) clock() rqprov.TimestampSource { return b.prov.Clock() }
 func (b *bundleSet) health() obs.HealthCheck       { return b.prov.Health() }
@@ -123,13 +122,12 @@ func (t *bundleThread) rangeQuery(low, high int64) []KV {
 	return t.set.skip.RangeQuery(t.bt, low, high)
 }
 
-func (t *bundleThread) id() int                        { return t.bt.ID() }
-func (t *bundleThread) close()                         { t.bt.Deregister() }
-func (t *bundleThread) abort()                         { t.bt.Abort() }
-func (t *bundleThread) admitUpdate() error             { return t.bt.AdmitUpdate() }
-func (t *bundleThread) traceRing() *trace.Ring         { return t.bt.TraceRing() }
-func (t *bundleThread) lastRQTS() uint64               { return t.bt.LastRQTS() }
-func (t *bundleThread) pinEpoch()                      { t.bt.PinEpoch() }
-func (t *bundleThread) unpinEpoch()                    { t.bt.UnpinEpoch() }
-func (t *bundleThread) pinTimestamp(ts uint64)         { t.bt.PinTimestamp(ts) }
-func (t *bundleThread) providerThread() *rqprov.Thread { return nil }
+func (t *bundleThread) id() int                { return t.bt.ID() }
+func (t *bundleThread) close()                 { t.bt.Deregister() }
+func (t *bundleThread) abort()                 { t.bt.Abort() }
+func (t *bundleThread) admitUpdate() error     { return t.bt.AdmitUpdate() }
+func (t *bundleThread) traceRing() *trace.Ring { return t.bt.TraceRing() }
+func (t *bundleThread) lastRQTS() uint64       { return t.bt.LastRQTS() }
+func (t *bundleThread) pinEpoch()              { t.bt.PinEpoch() }
+func (t *bundleThread) unpinEpoch()            { t.bt.UnpinEpoch() }
+func (t *bundleThread) pinTimestamp(ts uint64) { t.bt.PinTimestamp(ts) }

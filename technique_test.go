@@ -37,9 +37,6 @@ func TestBundleSupportMatrix(t *testing.T) {
 				if s.Technique() != ebrrq.Bundle {
 					t.Fatalf("Technique() = %v, want Bundle", s.Technique())
 				}
-				if s.Provider() != nil {
-					t.Fatalf("Provider() must be nil for the Bundle technique")
-				}
 				if s.Domain() == nil || s.Clock() == nil {
 					t.Fatal("Bundle set must expose its epoch domain and clock")
 				}
@@ -47,18 +44,6 @@ func TestBundleSupportMatrix(t *testing.T) {
 				t.Errorf("NewWithOptions(%v, %v, Bundle) succeeded outside the matrix", d, m)
 			}
 		}
-	}
-}
-
-// TestBundleRejectsCombine: the aggregating update funnel is an EBR-provider
-// feature; selecting it with another technique must fail loudly.
-func TestBundleRejectsCombine(t *testing.T) {
-	_, err := ebrrq.NewWithOptions(ebrrq.LazyList, ebrrq.Lock, 2, ebrrq.Options{
-		Technique:      ebrrq.Bundle,
-		CombineUpdates: true,
-	})
-	if err == nil {
-		t.Fatal("CombineUpdates with the Bundle technique must be rejected")
 	}
 }
 
