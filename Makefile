@@ -33,7 +33,7 @@ chaos:
 	$(GO) test -race -tags failpoints -count=1 -timeout 1800s \
 		-run 'Chaos|Fault|Stall|Watchdog|Deregister|TryRegister|Abort|Panic|Bundle' \
 		./internal/fault/ ./internal/rwlock/ ./internal/epoch/ ./internal/rqprov/ \
-		./internal/ds/skiplist/ ./internal/dstest/ .
+		./internal/ds/skiplist/ ./internal/bundle/ ./internal/dstest/ .
 
 # chaos-mem is the bounded-memory acceptance proof: one updater permanently
 # stalled mid-update while the rest hammer the structure through the

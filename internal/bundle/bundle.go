@@ -55,6 +55,10 @@ import (
 	"ebrrq/internal/trace"
 )
 
+// poolCap bounds each per-thread node free pool of the two structures (the
+// skip list keeps one pool per height class).
+const poolCap = 4096
+
 // entry is one link version: next was the link's target from [ts, ts of the
 // entry above). ts == 0 marks a pending entry whose stamp is in flight.
 type entry struct {

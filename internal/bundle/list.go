@@ -69,7 +69,7 @@ func NewList(p *Provider) *List {
 	l.pools = make([]lfreeList, p.MaxThreads())
 	p.Domain().SetFreeFunc(func(tid int, h *epoch.Node) {
 		fl := &l.pools[tid]
-		if len(fl.nodes) < 4096 {
+		if len(fl.nodes) < poolCap {
 			fl.nodes = append(fl.nodes, lowner(h))
 		}
 	})
@@ -97,7 +97,7 @@ func (l *List) alloc(t *Thread, key, value int64) *lnode {
 
 func (l *List) dealloc(t *Thread, n *lnode) {
 	fl := &l.pools[t.ID()]
-	if len(fl.nodes) < 4096 {
+	if len(fl.nodes) < poolCap {
 		fl.nodes = append(fl.nodes, n)
 	}
 }

@@ -27,17 +27,90 @@ import (
 	"ebrrq/internal/epoch"
 )
 
-// skipMaxLevel bounds tower height; 1/2 branching supports ~2^20 keys well.
+// skipMaxLevel is the number of tower levels (0..skipMaxLevel-1). A node
+// reaches level i with probability 2^-i, so 20 levels index ~2^20 keys.
 const skipMaxLevel = 20
 
+// snode is the header of every skip-list node and ends in tower slot 0. The
+// remaining slots follow it in the same allocation (see the class wrappers
+// below), so nothing may be declared after next0.
 type snode struct {
 	epoch.Node // must be first
 	mu         sync.Mutex
 	marked     atomic.Bool
 	fullyLink  atomic.Bool
-	topLevel   int
-	next       [skipMaxLevel]atomic.Pointer[snode]
-	bun        bundle // versions of next[0]
+	class      uint8 // height class; stamped by newSnode, never rewritten
+	topLevel   int32
+	bun        bundle                // versions of next0
+	next0      atomic.Pointer[snode] // tower slot 0
+}
+
+// Height classes: a node is allocated as the smallest wrapper whose tower
+// holds its topLevel. Geometric(1/2) heights put 75 % / 19 % / 6 % / 0.4 % of
+// nodes in the four classes, which land in the 128 / 144 / 176 / 288 B
+// allocator size classes.
+const snumClasses = 4
+
+type (
+	snode2 struct {
+		snode
+		up [1]atomic.Pointer[snode]
+	}
+	snode4 struct {
+		snode
+		up [3]atomic.Pointer[snode]
+	}
+	snode8 struct {
+		snode
+		up [7]atomic.Pointer[snode]
+	}
+	snode20 struct {
+		snode
+		up [skipMaxLevel - 1]atomic.Pointer[snode]
+	}
+)
+
+// sclassCap is the number of tower slots a node of each class owns: slot 0
+// in the header plus the wrapper's.
+var sclassCap = [snumClasses]int{
+	1 + len(snode2{}.up), 1 + len(snode4{}.up), 1 + len(snode8{}.up), 1 + len(snode20{}.up),
+}
+
+// sclassOf returns the smallest class whose tower holds levels 0..topLevel.
+func sclassOf(topLevel int) uint8 {
+	c := uint8(0)
+	for topLevel >= sclassCap[c] {
+		c++
+	}
+	return c
+}
+
+// newSnode allocates a zeroed node of the given class.
+func newSnode(class uint8) *snode {
+	var n *snode
+	switch class {
+	case 0:
+		n = &new(snode2).snode
+	case 1:
+		n = &new(snode4).snode
+	case 2:
+		n = &new(snode8).snode
+	default:
+		n = &new(snode20).snode
+	}
+	n.class = class
+	return n
+}
+
+// nextAt returns tower slot lv, the raw link that follows n at level lv. lv
+// must be below sclassCap[n.class]; callers guarantee it by only indexing a
+// node at a level they reached it on (at most its topLevel). That stays true
+// for a stale reference to a recycled node, because a node keeps its class —
+// and so its allocation — for life: the pools are per class. The arithmetic
+// is spelled through uintptr rather than unsafe.Add because that is the form
+// checkptr instruments: under -race an index outside n's allocation throws.
+func (n *snode) nextAt(lv int) *atomic.Pointer[snode] {
+	return (*atomic.Pointer[snode])(unsafe.Pointer(uintptr(unsafe.Pointer(&n.next0)) + uintptr(lv)*unsafe.Sizeof(n.next0)))
 }
 
 func shdr(n *snode) *epoch.Node    { return &n.Node }
@@ -55,9 +128,11 @@ type SkipList struct {
 	rngs  []srngState
 }
 
+// sfreeList is one thread's recycling pools, one per height class, padded to
+// two cache lines.
 type sfreeList struct {
-	nodes []*snode
-	_     [40]byte
+	nodes [snumClasses][]*snode
+	_     [32]byte
 }
 
 type srngState struct {
@@ -67,16 +142,18 @@ type srngState struct {
 
 // NewSkipList creates an empty bundled skip list attached to the provider.
 func NewSkipList(p *Provider) *SkipList {
-	tail := &snode{topLevel: skipMaxLevel - 1}
+	tail := newSnode(snumClasses - 1)
+	tail.topLevel = skipMaxLevel - 1
 	tail.InitKey(math.MaxInt64, 0)
 	tail.SetITime(1)
 	tail.fullyLink.Store(true)
-	head := &snode{topLevel: skipMaxLevel - 1}
+	head := newSnode(snumClasses - 1)
+	head.topLevel = skipMaxLevel - 1
 	head.InitKey(math.MinInt64, 0)
 	head.SetITime(1)
 	head.fullyLink.Store(true)
 	for i := 0; i < skipMaxLevel; i++ {
-		head.next[i].Store(tail)
+		head.nextAt(i).Store(tail)
 	}
 	head.bun.seed(1, sraw(tail))
 	l := &SkipList{head: head, tail: tail, prov: p}
@@ -85,12 +162,7 @@ func NewSkipList(p *Provider) *SkipList {
 	for i := range l.rngs {
 		l.rngs[i].s = uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	}
-	p.Domain().SetFreeFunc(func(tid int, h *epoch.Node) {
-		fl := &l.pools[tid]
-		if len(fl.nodes) < 4096 {
-			fl.nodes = append(fl.nodes, sowner(h))
-		}
-	})
+	p.Domain().SetFreeFunc(func(tid int, h *epoch.Node) { l.free(tid, sowner(h)) })
 	p.SetGCFunc(l.gcSweep)
 	p.entriesLive.Add(1) // head's seed entry
 	return l
@@ -112,29 +184,34 @@ func (l *SkipList) randomLevel(tid int) int {
 	return lvl
 }
 
-func (l *SkipList) alloc(t *Thread, key, value int64) *snode {
-	fl := &l.pools[t.ID()]
+// free returns a reclaimed node to thread tid's pool for the node's class.
+func (l *SkipList) free(tid int, n *snode) {
+	pool := &l.pools[tid].nodes[n.class]
+	if len(*pool) < poolCap {
+		*pool = append(*pool, n)
+	}
+}
+
+// alloc returns a node of topLevel's height class, recycled from the
+// thread's pool for that class when it has one.
+func (l *SkipList) alloc(t *Thread, key, value int64, topLevel int) *snode {
+	class := sclassOf(topLevel)
+	pool := &l.pools[t.ID()].nodes[class]
 	var n *snode
-	if ln := len(fl.nodes); ln > 0 {
-		n = fl.nodes[ln-1]
-		fl.nodes = fl.nodes[:ln-1]
+	if ln := len(*pool); ln > 0 {
+		n = (*pool)[ln-1]
+		*pool = (*pool)[:ln-1]
 		t.PoolHit()
 	} else {
-		n = &snode{}
+		n = newSnode(class)
 		t.PoolMiss()
 	}
 	n.InitKey(key, value) // resets itime/dtime/limbo link
 	n.marked.Store(false)
 	n.fullyLink.Store(false)
 	n.bun.reset()
+	n.topLevel = int32(topLevel)
 	return n
-}
-
-func (l *SkipList) dealloc(t *Thread, n *snode) {
-	fl := &l.pools[t.ID()]
-	if len(fl.nodes) < 4096 {
-		fl.nodes = append(fl.nodes, n)
-	}
 }
 
 // find fills preds/succs with the nodes bracketing key at every level and
@@ -143,10 +220,10 @@ func (l *SkipList) find(key int64, preds, succs *[skipMaxLevel]*snode) int {
 	found := -1
 	pred := l.head
 	for lv := skipMaxLevel - 1; lv >= 0; lv-- {
-		curr := pred.next[lv].Load()
+		curr := pred.nextAt(lv).Load()
 		for curr.Key() < key {
 			pred = curr
-			curr = curr.next[lv].Load()
+			curr = curr.nextAt(lv).Load()
 		}
 		if found == -1 && curr.Key() == key {
 			found = lv
@@ -191,16 +268,15 @@ func (l *SkipList) Insert(t *Thread, key, value int64) bool {
 				prevPred = pred
 			}
 			valid = !pred.marked.Load() && !succ.marked.Load() &&
-				pred.next[lv].Load() == succ
+				pred.nextAt(lv).Load() == succ
 		}
 		if !valid {
 			sUnlockPreds(&preds, highestLocked)
 			continue
 		}
-		n := l.alloc(t, key, value)
-		n.topLevel = topLevel
+		n := l.alloc(t, key, value, topLevel)
 		for lv := 0; lv <= topLevel; lv++ {
-			n.next[lv].Store(succs[lv])
+			n.nextAt(lv).Store(succs[lv])
 		}
 		// Seed the new node's bundle pending, publish the bottom link,
 		// version it, stamp — the range-query linearization (see list.go).
@@ -208,13 +284,13 @@ func (l *SkipList) Insert(t *Thread, key, value int64) bool {
 		// n can stamp an older timestamp above the seed (see list.go).
 		en := n.bun.prepend(sraw(succs[0]))
 		n.mu.Lock()
-		preds[0].next[0].Store(n)
+		preds[0].next0.Store(n)
 		ep := preds[0].bun.prepend(sraw(n))
 		v := t.stamp2(en, ep)
 		n.mu.Unlock()
 		n.SetITime(v)
 		for lv := 1; lv <= topLevel; lv++ {
-			preds[lv].next[lv].Store(n)
+			preds[lv].nextAt(lv).Store(n)
 		}
 		n.fullyLink.Store(true) // index may now use the node
 		t.record(v, shdr(n), nil)
@@ -249,10 +325,10 @@ func (l *SkipList) Delete(t *Thread, key int64) bool {
 		}
 		if !isMarkedByUs {
 			if fl == -1 || !victim.fullyLink.Load() ||
-				victim.topLevel != fl || victim.marked.Load() {
+				int(victim.topLevel) != fl || victim.marked.Load() {
 				return false
 			}
-			topLevel = victim.topLevel
+			topLevel = int(victim.topLevel)
 			victim.mu.Lock()
 			if victim.marked.Load() {
 				victim.mu.Unlock()
@@ -275,17 +351,17 @@ func (l *SkipList) Delete(t *Thread, key int64) bool {
 				highestLocked = lv
 				prevPred = pred
 			}
-			valid = !pred.marked.Load() && pred.next[lv].Load() == victim
+			valid = !pred.marked.Load() && pred.nextAt(lv).Load() == victim
 		}
 		if !valid {
 			sUnlockPreds(&preds, highestLocked)
 			continue
 		}
 		for lv := topLevel; lv >= 1; lv-- {
-			preds[lv].next[lv].Store(victim.next[lv].Load())
+			preds[lv].nextAt(lv).Store(victim.nextAt(lv).Load())
 		}
-		succ := victim.next[0].Load()
-		preds[0].next[0].Store(succ)
+		succ := victim.next0.Load()
+		preds[0].next0.Store(succ)
 		ep := preds[0].bun.prepend(sraw(succ))
 		v := t.stamp1(ep) // range-query linearization
 		victim.SetDTime(v)
@@ -305,10 +381,10 @@ func (l *SkipList) Contains(t *Thread, key int64) (int64, bool) {
 	pred := l.head
 	var curr *snode
 	for lv := skipMaxLevel - 1; lv >= 0; lv-- {
-		curr = pred.next[lv].Load()
+		curr = pred.nextAt(lv).Load()
 		for curr.Key() < key {
 			pred = curr
-			curr = curr.next[lv].Load()
+			curr = curr.nextAt(lv).Load()
 		}
 	}
 	if curr.Key() != key || !curr.fullyLink.Load() || curr.marked.Load() {
@@ -339,10 +415,10 @@ func (l *SkipList) RangeQuery(t *Thread, low, high int64) []epoch.KV {
 	ts := t.rqBegin(low)
 	pred := l.head
 	for lv := skipMaxLevel - 1; lv >= 0; lv-- {
-		curr := pred.next[lv].Load()
+		curr := pred.nextAt(lv).Load()
 		for curr.Key() < low && visibleAt(curr, ts) {
 			pred = curr
-			curr = pred.next[lv].Load()
+			curr = pred.nextAt(lv).Load()
 		}
 	}
 	res := t.resultBuf()
@@ -360,7 +436,7 @@ func (l *SkipList) RangeQuery(t *Thread, low, high int64) []epoch.KV {
 // Size counts live nodes (quiescent use only).
 func (l *SkipList) Size() int {
 	n := 0
-	for curr := l.head.next[0].Load(); curr != l.tail; curr = curr.next[0].Load() {
+	for curr := l.head.next0.Load(); curr != l.tail; curr = curr.next0.Load() {
 		if !curr.marked.Load() && curr.fullyLink.Load() {
 			n++
 		}
@@ -372,7 +448,7 @@ func (l *SkipList) Size() int {
 // bundle below min; registered as the provider's full-GC pass.
 func (l *SkipList) gcSweep(min uint64) int {
 	n := 0
-	for c := l.head; c != nil && c != l.tail; c = c.next[0].Load() {
+	for c := l.head; c != nil && c != l.tail; c = c.next0.Load() {
 		c.mu.Lock()
 		n += c.bun.gcBelow(min)
 		c.mu.Unlock()
@@ -384,7 +460,7 @@ func (l *SkipList) gcSweep(min uint64) int {
 // (tests).
 func (l *SkipList) MaxBundleLen() int {
 	max := 0
-	for c := l.head; c != nil && c != l.tail; c = c.next[0].Load() {
+	for c := l.head; c != nil && c != l.tail; c = c.next0.Load() {
 		if n := c.bun.len(); n > max {
 			max = n
 		}

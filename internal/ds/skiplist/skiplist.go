@@ -27,20 +27,97 @@ import (
 	"ebrrq/internal/snapc"
 )
 
-// maxLevel bounds tower height; 1/2 branching supports ~2^20 keys well.
+// maxLevel is the number of tower levels (0..maxLevel-1). A node reaches
+// level i with probability 2^-i, so 20 levels index ~2^20 keys.
 const maxLevel = 20
+
+// poolCap bounds each per-thread, per-class free pool.
+const poolCap = 4096
 
 var flagSentinel int64
 
 func sentinelPtr() unsafe.Pointer { return unsafe.Pointer(&flagSentinel) }
 
+// node is the header of every skip-list node and ends in tower slot 0. The
+// remaining slots follow it in the same allocation (see the class wrappers
+// below), so nothing may be declared after next0.
 type node struct {
 	epoch.Node // must be first
 	mu         sync.Mutex
 	marked     dcss.Slot // nil = live; deletion linearization point
 	fullyLink  dcss.Slot // nil = pending; insertion linearization point
-	topLevel   int
-	next       [maxLevel]dcss.Slot // next[i] holds *node at level i
+	topLevel   int32
+	class      uint8     // height class; stamped by newNode, never rewritten
+	next0      dcss.Slot // tower slot 0; holds *node, like every tower slot
+}
+
+// Height classes: a node is allocated as the smallest wrapper whose tower
+// holds its topLevel. Geometric(1/2) heights put 75 % / 19 % / 6 % / 0.4 % of
+// nodes in the four classes, which land in the 128 / 144 / 176 / 288 B
+// allocator size classes — ~134 B per node on average.
+const numClasses = 4
+
+type (
+	node2 struct {
+		node
+		up [1]dcss.Slot
+	}
+	node4 struct {
+		node
+		up [3]dcss.Slot
+	}
+	node8 struct {
+		node
+		up [7]dcss.Slot
+	}
+	node20 struct {
+		node
+		up [maxLevel - 1]dcss.Slot
+	}
+)
+
+// classCap is the number of tower slots a node of each class owns: slot 0 in
+// the header plus the wrapper's.
+var classCap = [numClasses]int{
+	1 + len(node2{}.up), 1 + len(node4{}.up), 1 + len(node8{}.up), 1 + len(node20{}.up),
+}
+
+// classOf returns the smallest class whose tower holds levels 0..topLevel.
+func classOf(topLevel int) uint8 {
+	c := uint8(0)
+	for topLevel >= classCap[c] {
+		c++
+	}
+	return c
+}
+
+// newNode allocates a zeroed node of the given class.
+func newNode(class uint8) *node {
+	var n *node
+	switch class {
+	case 0:
+		n = &new(node2).node
+	case 1:
+		n = &new(node4).node
+	case 2:
+		n = &new(node8).node
+	default:
+		n = &new(node20).node
+	}
+	n.class = class
+	return n
+}
+
+// nextAt returns tower slot lv, which holds the *node that follows n at
+// level lv. lv must be below classCap[n.class]; callers guarantee it by only
+// indexing a node at a level they reached it on (at most its topLevel). That
+// stays true for a stale reference to a recycled node, because a node keeps
+// its class — and so its allocation — for life: the pools are per class. The
+// arithmetic is spelled through uintptr rather than unsafe.Add because that
+// is the form checkptr instruments: under -race an index outside n's
+// allocation throws.
+func (n *node) nextAt(lv int) *dcss.Slot {
+	return (*dcss.Slot)(unsafe.Pointer(uintptr(unsafe.Pointer(&n.next0)) + uintptr(lv)*unsafe.Sizeof(n.next0)))
 }
 
 func ptr(v unsafe.Pointer) *node      { return (*node)(dcss.Ptr(v)) }
@@ -61,9 +138,11 @@ type List struct {
 	rngs  []rngState
 }
 
+// freeList is one thread's recycling pools, one per height class, padded to
+// two cache lines.
 type freeList struct {
-	nodes []*node
-	_     [40]byte
+	nodes [numClasses][]*node
+	_     [32]byte
 }
 
 type rngState struct {
@@ -73,16 +152,18 @@ type rngState struct {
 
 // New creates an empty skip list attached to the provider.
 func New(p *rqprov.Provider) *List {
-	tail := &node{topLevel: maxLevel - 1}
+	tail := newNode(numClasses - 1)
+	tail.topLevel = maxLevel - 1
 	tail.InitKey(math.MaxInt64, 0)
 	tail.SetITime(1)
 	tail.fullyLink.Store(sentinelPtr())
-	head := &node{topLevel: maxLevel - 1}
+	head := newNode(numClasses - 1)
+	head.topLevel = maxLevel - 1
 	head.InitKey(math.MinInt64, 0)
 	head.SetITime(1)
 	head.fullyLink.Store(sentinelPtr())
 	for i := 0; i < maxLevel; i++ {
-		head.next[i].Store(fromNode(tail))
+		head.nextAt(i).Store(fromNode(tail))
 	}
 	l := &List{head: head, tail: tail, prov: p}
 	l.pools = make([]freeList, p.MaxThreads())
@@ -90,12 +171,7 @@ func New(p *rqprov.Provider) *List {
 	for i := range l.rngs {
 		l.rngs[i].s = uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	}
-	p.Domain().SetFreeFunc(func(tid int, h *epoch.Node) {
-		fl := &l.pools[tid]
-		if len(fl.nodes) < 4096 {
-			fl.nodes = append(fl.nodes, ownerOf(h))
-		}
-	})
+	p.Domain().SetFreeFunc(func(tid int, h *epoch.Node) { l.free(tid, ownerOf(h)) })
 	return l
 }
 
@@ -142,28 +218,33 @@ func (l *List) randomLevel(tid int) int {
 	return lvl
 }
 
-func (l *List) alloc(t *rqprov.Thread, key, value int64) *node {
-	fl := &l.pools[t.ID()]
+// free returns a reclaimed node to thread tid's pool for the node's class.
+func (l *List) free(tid int, n *node) {
+	pool := &l.pools[tid].nodes[n.class]
+	if len(*pool) < poolCap {
+		*pool = append(*pool, n)
+	}
+}
+
+// alloc returns a node of topLevel's height class, recycled from the
+// thread's pool for that class when it has one.
+func (l *List) alloc(t *rqprov.Thread, key, value int64, topLevel int) *node {
+	class := classOf(topLevel)
+	pool := &l.pools[t.ID()].nodes[class]
 	var n *node
-	if ln := len(fl.nodes); ln > 0 {
-		n = fl.nodes[ln-1]
-		fl.nodes = fl.nodes[:ln-1]
+	if ln := len(*pool); ln > 0 {
+		n = (*pool)[ln-1]
+		*pool = (*pool)[:ln-1]
 		t.PoolHit()
 	} else {
-		n = &node{}
+		n = newNode(class)
 		t.PoolMiss()
 	}
 	n.InitKey(key, value)
 	n.marked.Store(nil)
 	n.fullyLink.Store(nil)
+	n.topLevel = int32(topLevel)
 	return n
-}
-
-func (l *List) dealloc(t *rqprov.Thread, n *node) {
-	fl := &l.pools[t.ID()]
-	if len(fl.nodes) < 4096 {
-		fl.nodes = append(fl.nodes, n)
-	}
 }
 
 // find fills preds/succs with the nodes bracketing key at every level and
@@ -172,10 +253,10 @@ func (l *List) find(key int64, preds, succs *[maxLevel]*node) int {
 	found := -1
 	pred := l.head
 	for lv := maxLevel - 1; lv >= 0; lv-- {
-		curr := ptr(pred.next[lv].Load())
+		curr := ptr(pred.nextAt(lv).Load())
 		for curr.Key() < key {
 			pred = curr
-			curr = ptr(curr.next[lv].Load())
+			curr = ptr(curr.nextAt(lv).Load())
 		}
 		if found == -1 && curr.Key() == key {
 			found = lv
@@ -223,19 +304,18 @@ func (l *List) Insert(t *rqprov.Thread, key, value int64) bool {
 				prevPred = pred
 			}
 			valid = !pred.isMarked() && !succ.isMarked() &&
-				ptr(pred.next[lv].Load()) == succ
+				ptr(pred.nextAt(lv).Load()) == succ
 		}
 		if !valid {
 			unlockPreds(&preds, highestLocked)
 			continue
 		}
-		n := l.alloc(t, key, value)
-		n.topLevel = topLevel
+		n := l.alloc(t, key, value, topLevel)
 		for lv := 0; lv <= topLevel; lv++ {
-			n.next[lv].Store(fromNode(succs[lv]))
+			n.nextAt(lv).Store(fromNode(succs[lv]))
 		}
 		for lv := 0; lv <= topLevel; lv++ {
-			if !preds[lv].next[lv].CAS(fromNode(succs[lv]), fromNode(n)) {
+			if !preds[lv].nextAt(lv).CAS(fromNode(succs[lv]), fromNode(n)) {
 				panic("skiplist: locked link CAS failed")
 			}
 		}
@@ -278,10 +358,10 @@ func (l *List) Delete(t *rqprov.Thread, key int64) bool {
 		}
 		if !isMarkedByUs {
 			if fl == -1 || !victim.isFullyLinked() ||
-				victim.topLevel != fl || victim.isMarked() {
+				int(victim.topLevel) != fl || victim.isMarked() {
 				return false
 			}
-			topLevel = victim.topLevel
+			topLevel = int(victim.topLevel)
 			victim.mu.Lock()
 			if victim.isMarked() {
 				victim.mu.Unlock()
@@ -309,7 +389,7 @@ func (l *List) Delete(t *rqprov.Thread, key int64) bool {
 				highestLocked = lv
 				prevPred = pred
 			}
-			valid = !pred.isMarked() && ptr(pred.next[lv].Load()) == victim
+			valid = !pred.isMarked() && ptr(pred.nextAt(lv).Load()) == victim
 		}
 		if !valid {
 			unlockPreds(&preds, highestLocked)
@@ -317,7 +397,7 @@ func (l *List) Delete(t *rqprov.Thread, key int64) bool {
 		}
 		t.PhysicalDelete(oneNode(hdr(victim)), func() bool {
 			for lv := topLevel; lv >= 0; lv-- {
-				if !preds[lv].next[lv].CAS(fromNode(victim), victim.next[lv].Load()) {
+				if !preds[lv].nextAt(lv).CAS(fromNode(victim), victim.nextAt(lv).Load()) {
 					panic("skiplist: locked unlink CAS failed")
 				}
 			}
@@ -339,10 +419,10 @@ func (l *List) Contains(t *rqprov.Thread, key int64) (int64, bool) {
 	pred := l.head
 	var curr *node
 	for lv := maxLevel - 1; lv >= 0; lv-- {
-		curr = ptr(pred.next[lv].Load())
+		curr = ptr(pred.nextAt(lv).Load())
 		for curr.Key() < key {
 			pred = curr
-			curr = ptr(curr.next[lv].Load())
+			curr = ptr(curr.nextAt(lv).Load())
 		}
 	}
 	if curr.Key() != key || !curr.isFullyLinked() {
@@ -370,20 +450,20 @@ func (l *List) RangeQuery(t *rqprov.Thread, low, high int64) []epoch.KV {
 	t.TraversalStart(low, high)
 	pred := l.head
 	for lv := maxLevel - 1; lv >= 0; lv-- {
-		curr := ptr(pred.next[lv].Load())
+		curr := ptr(pred.nextAt(lv).Load())
 		for curr.Key() < low {
 			pred = curr
-			curr = ptr(curr.next[lv].Load())
+			curr = ptr(curr.nextAt(lv).Load())
 		}
 	}
 	// Timestamp taken, index descent done, bottom-level walk not started:
 	// updates slipping in here must be recovered by the end-of-query
 	// announcement and limbo sweeps.
 	fault.Inject("skiplist.rq.bottomwalk")
-	curr := ptr(pred.next[0].Load())
+	curr := ptr(pred.next0.Load())
 	for curr.Key() <= high {
 		t.VisitMaybeMarked(hdr(curr), curr.isMarked())
-		curr = ptr(curr.next[0].Load())
+		curr = ptr(curr.next0.Load())
 	}
 	return t.TraversalEnd()
 }
@@ -395,7 +475,7 @@ func (l *List) RangeQuery(t *rqprov.Thread, low, high int64) []epoch.KV {
 // active.
 func (l *List) snapRangeQuery(t *rqprov.Thread, low, high int64) []epoch.KV {
 	c := l.snap.Acquire()
-	curr := ptr(l.head.next[0].Load())
+	curr := ptr(l.head.next0.Load())
 	for curr != l.tail && c.IsActive() {
 		switch {
 		case curr.isMarked():
@@ -403,7 +483,7 @@ func (l *List) snapRangeQuery(t *rqprov.Thread, low, high int64) []epoch.KV {
 		case curr.isFullyLinked():
 			c.AddNode(hdr(curr), curr.Key(), curr.Value())
 		}
-		curr = ptr(curr.next[0].Load())
+		curr = ptr(curr.next0.Load())
 	}
 	c.BlockFurtherNodes()
 	c.Deactivate()
@@ -414,7 +494,7 @@ func (l *List) snapRangeQuery(t *rqprov.Thread, low, high int64) []epoch.KV {
 // Size counts live nodes (quiescent use only).
 func (l *List) Size() int {
 	n := 0
-	for curr := ptr(l.head.next[0].Load()); curr != l.tail; curr = ptr(curr.next[0].Load()) {
+	for curr := ptr(l.head.next0.Load()); curr != l.tail; curr = ptr(curr.next0.Load()) {
 		if !curr.isMarked() && curr.isFullyLinked() {
 			n++
 		}

@@ -489,8 +489,11 @@ func (d *Domain) quarantineChain(tid int, head *Node) int {
 // drainQuarantine hands every quarantined chain to the free function. Called
 // when the last outstanding neutralization is acknowledged — the neutralized
 // threads have all reached an op boundary (or been aborted), so nothing can
-// reference the held nodes any more.
-func (d *Domain) drainQuarantine() {
+// reference the held nodes any more. The nodes go to the free pool of tid,
+// the acknowledging thread, whose goroutine is the caller: a chain's own
+// thread may be allocating from its pool right now. The Reclaimed metric is
+// still credited to the thread that retired the chain.
+func (d *Domain) drainQuarantine(tid int) {
 	d.quarMu.Lock()
 	defer d.quarMu.Unlock()
 	chains := d.quarantine
@@ -502,7 +505,7 @@ func (d *Domain) drainQuarantine() {
 			next := head.limboNext.Load()
 			head.gen.Add(1)
 			if d.free != nil {
-				d.free(c.tid, head)
+				d.free(tid, head)
 			}
 			head = next
 		}
@@ -681,7 +684,7 @@ func (t *Thread) ackNeutralized() {
 		t.tr.Emit(trace.EvNeutralizeAck, uint64(t.id), 0)
 	}
 	if t.dom.unacked.Add(-1) == 0 {
-		t.dom.drainQuarantine()
+		t.dom.drainQuarantine(t.id)
 	}
 }
 

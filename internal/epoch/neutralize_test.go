@@ -261,12 +261,15 @@ func TestReclaimStaleQuiescentOwner(t *testing.T) {
 
 // TestQuarantineHoldsUntilAck: while a neutralization is unacknowledged,
 // every reclaimable chain is diverted to quarantine — the free function must
-// not run — and the last acknowledgement drains it.
+// not run — and the last acknowledgement drains it, into the acknowledging
+// thread's pool: the drain runs on that thread's goroutine, and the chains'
+// own thread may be allocating from its pool at that moment.
 func TestQuarantineHoldsUntilAck(t *testing.T) {
 	d := NewDomain(2)
 	var mu sync.Mutex
 	freed := 0
-	d.SetFreeFunc(func(tid int, n *Node) { mu.Lock(); freed++; mu.Unlock() })
+	freedTo := map[int]int{}
+	d.SetFreeFunc(func(tid int, n *Node) { mu.Lock(); freed++; freedTo[tid]++; mu.Unlock() })
 	victim := d.Register()
 	worker := d.Register()
 
@@ -316,6 +319,10 @@ func TestQuarantineHoldsUntilAck(t *testing.T) {
 	mu.Unlock()
 	if f == 0 {
 		t.Fatal("drained quarantine reached no free function")
+	}
+	if freedTo[victim.ID()] != f {
+		t.Fatalf("drain freed into pools %v, want all %d in the acknowledger's (thread %d)",
+			freedTo, f, victim.ID())
 	}
 }
 
