@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench bench-quick rebaseline chaos chaos-mem validate micro macro examples trace-demo clean
+.PHONY: all ci build vet test race bench chaos chaos-mem validate micro macro examples trace-demo clean
 
 all: build vet test
 
 # ci mirrors .github/workflows/ci.yml: full build/vet/test plus a short-mode
 # race pass (the full race suite is the separate `race` target). benchmark/
 # is its own module, so ./... does not reach its BENCHMARK.json name-sync
-# test; it is run here explicitly.
-ci: build vet test
+# test; it is run here explicitly. trace-demo is the one step that runs the
+# rqbench and rqtrace binaries end to end.
+ci: build vet test trace-demo
 	$(GO) test -race -short ./... -count=1 -timeout 900s
 	(cd benchmark && $(GO) vet . && $(GO) test . -count=1)
 
@@ -49,40 +50,6 @@ chaos-mem:
 bench:
 	$(GO) test -bench=. -benchmem ./... -timeout 1800s
 
-# bench-quick runs the mixed-workload matrix (update-heavy rq0/rq10 and
-# RQ-heavy rq50 points), writes the machine-readable BENCH_rq.json report,
-# and gates against the committed baseline (>20% best-of-trials throughput
-# regression fails). 5 trials at 300ms: the gate compares best single
-# trials, corrected for uniform host drift (see bench.CompareRQReports).
-# On top of that the gate retries in a fresh process (up to 3 attempts):
-# individual cells flip between scheduler regimes worth 25-40% that persist
-# for a whole process, so a flip re-rolls on retry while a real code
-# regression fails all three.
-# The baseline is host-specific: refresh it with `make rebaseline` when
-# the reference hardware changes.
-# The matrix includes the lazylist (the second bundled structure) and runs
-# both range-query techniques interleaved; bundle cells gate only once the
-# committed baseline has been refreshed to contain them (unmatched cells
-# are skipped by the gate, so adding the dimension is not a flag day).
-bench-quick:
-	@for i in 1 2 3; do \
-		$(GO) run ./cmd/rqbench -ds skiplist,lflist,lazylist -technique both \
-			-trials 5 -duration 300ms -out BENCH_rq.json \
-			-baseline results/bench_rq_baseline.json && exit 0; \
-		echo "bench-quick: attempt $$i regressed"; \
-	done; echo "bench-quick: regression reproduced in 3/3 attempts"; exit 1
-
-# rebaseline measures the matrix twice and keeps the per-cell throughput
-# minimum (see bench.MinRQReports): the committed baseline is a
-# conservative floor, so a cell captured in its fast scheduler regime
-# cannot gate every later slow-regime run.
-rebaseline:
-	$(GO) run ./cmd/rqbench -ds skiplist,lflist,lazylist -technique both \
-		-trials 5 -duration 300ms -out results/bench_rq_baseline.json
-	$(GO) run ./cmd/rqbench -ds skiplist,lflist,lazylist -technique both \
-		-trials 5 -duration 300ms -out results/bench_rq_baseline.json \
-		-min-with results/bench_rq_baseline.json
-
 validate:
 	$(GO) run ./cmd/validate
 
@@ -97,8 +64,7 @@ macro:
 # the rqtrace line for a Perfetto-loadable timeline.
 trace-demo:
 	$(GO) run ./cmd/rqbench -ds skiplist -tech lockfree -threads 4 \
-		-trials 1 -duration 200ms -out /tmp/ebrrq_demo.json \
-		-trace-dump /tmp/ebrrq_demo.trace
+		-trials 1 -duration 200ms -trace-dump /tmp/ebrrq_demo.trace
 	$(GO) run ./cmd/rqtrace /tmp/ebrrq_demo.trace
 
 examples:

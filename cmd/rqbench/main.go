@@ -1,13 +1,13 @@
 // Command rqbench runs the mixed benchmark matrix (update-heavy and
-// RQ-heavy points) across data structures, provider techniques and thread
-// counts, writes the machine-readable BENCH_rq.json report, and — when
-// given a committed baseline — fails if throughput regressed beyond the gate.
-// `make bench-quick` and the CI bench-smoke job are thin wrappers
-// around this command.
+// RQ-heavy points) across data structures, modes, thread counts, shard
+// counts and range-query techniques, and prints one line per cell. It is an
+// A/B driver, not a gate: the techniques of a cell run back to back in one
+// process, so a pair sees the same host conditions. The repo's regression
+// benchmark is BENCHMARK.json + benchmark/.
 //
-//	rqbench -out BENCH_rq.json                        # measure
-//	rqbench -out BENCH_rq.json -baseline results/bench_rq_baseline.json
-//	                                                  # measure + gate
+//	rqbench -technique both -ds lazylist,skiplist -tech lock   # EBR vs bundle
+//	rqbench -shards 1,4 -ds skiplist                           # plain vs sharded
+//	rqbench -threads 4 -trials 1 -trace-dump /tmp/x.trace      # feed rqtrace
 package main
 
 import (
@@ -37,10 +37,6 @@ func main() {
 		trials    = flag.Int("trials", 3, "trials per cell (results are merged)")
 		duration  = flag.Duration("duration", 200*time.Millisecond, "duration per trial")
 		seed      = flag.Int64("seed", 42, "base RNG seed")
-		out       = flag.String("out", "BENCH_rq.json", "output report path ('-' for stdout)")
-		baseline  = flag.String("baseline", "", "baseline BENCH_rq.json to gate against (missing file: gate skipped)")
-		minWith   = flag.String("min-with", "", "earlier report to fold in, keeping per-cell throughput minima (baseline floors; missing file: skipped)")
-		maxRegres = flag.Float64("max-regress", 0.20, "maximum allowed throughput regression vs baseline (fraction)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		noTrace   = flag.Bool("no-trace", false, "disable the flight recorder (loses the per-phase RQ splits)")
 		traceDump = flag.String("trace-dump", "", "write the final trial's flight-recorder dump to this file (analyze with rqtrace)")
@@ -61,7 +57,7 @@ func main() {
 	cfg := bench.RQBenchCfg{
 		RQSize: *rqSize, Scale: *scale,
 		Trials: *trials, Duration: *duration, Seed: *seed,
-		Out:     os.Stderr,
+		Out:     os.Stdout,
 		NoTrace: *noTrace,
 	}
 	if *traceDump != "" {
@@ -101,82 +97,15 @@ func main() {
 		fatal(err)
 	}
 
-	warnSingleProc()
+	if runtime.GOMAXPROCS(0) == 1 {
+		// With a single P goroutines never overlap inside the provider, so
+		// the contention-path counters read zero whatever the code would do
+		// under load.
+		fmt.Fprintln(os.Stderr, "rqbench: WARNING: GOMAXPROCS=1 — ts_shared and the other contention counters are dead; rerun with GOMAXPROCS>=2 to measure sharing")
+	}
 
-	rep, err := bench.RunRQBench(cfg)
-	if err != nil {
+	if _, err := bench.RunRQBench(cfg); err != nil {
 		fatal(err)
-	}
-
-	if *minWith != "" {
-		if f, err := os.Open(*minWith); err == nil {
-			prev, err := bench.ReadRQReport(f)
-			f.Close()
-			if err != nil {
-				fatal(fmt.Errorf("parsing -min-with %s: %w", *minWith, err))
-			}
-			if msgs := bench.RQEnvMismatch(prev, rep); len(msgs) > 0 {
-				fmt.Fprintf(os.Stderr, "-min-with %s is from a different host shape; skipped\n", *minWith)
-			} else {
-				rep = bench.MinRQReports(rep, prev)
-				fmt.Fprintf(os.Stderr, "folded per-cell minima from %s\n", *minWith)
-			}
-		} else if !os.IsNotExist(err) {
-			fatal(err)
-		}
-	}
-
-	if *out == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", *out, len(rep.Points))
-	}
-
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "baseline %s not found; regression gate skipped\n", *baseline)
-			return
-		}
-		if err != nil {
-			fatal(err)
-		}
-		base, err := bench.ReadRQReport(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("parsing baseline %s: %w", *baseline, err))
-		}
-		if msgs := bench.RQEnvMismatch(base, rep); len(msgs) > 0 {
-			fmt.Fprintln(os.Stderr, "########################################################")
-			fmt.Fprintln(os.Stderr, "# WARNING: baseline was measured on a different host    #")
-			fmt.Fprintln(os.Stderr, "# shape; throughput comparison would be meaningless.    #")
-			fmt.Fprintln(os.Stderr, "# REGRESSION GATE SKIPPED.                              #")
-			fmt.Fprintln(os.Stderr, "########################################################")
-			for _, m := range msgs {
-				fmt.Fprintln(os.Stderr, "  env mismatch -", m)
-			}
-			fmt.Fprintln(os.Stderr, "refresh the baseline on this host with `make rebaseline`")
-			return
-		}
-		if msgs := bench.CompareRQReports(base, rep, *maxRegres); len(msgs) > 0 {
-			for _, m := range msgs {
-				fmt.Fprintln(os.Stderr, "REGRESSION: "+m)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "regression gate passed (max allowed %.0f%%)\n", 100**maxRegres)
 	}
 }
 
@@ -262,21 +191,6 @@ func parseTechniques(s string) ([]ebrrq.Technique, error) {
 	default:
 		return nil, fmt.Errorf("bad -technique %q (want ebr, bundle or both)", s)
 	}
-}
-
-// warnSingleProc makes the dead-counter trap impossible to miss: with a
-// single P there is no goroutine overlap, so every contention-path counter
-// (ts_shared, fence_shared) reads zero regardless of how the code would
-// behave under load.
-func warnSingleProc() {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "########################################################")
-	fmt.Fprintln(os.Stderr, "# WARNING: GOMAXPROCS=1 — contention counters are dead. #")
-	fmt.Fprintln(os.Stderr, "########################################################")
-	fmt.Fprintln(os.Stderr, "  "+bench.SingleProcNote)
-	fmt.Fprintln(os.Stderr, "  rerun with GOMAXPROCS>=2 to measure sharing")
 }
 
 func parseInts(s string) ([]int, error) {

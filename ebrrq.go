@@ -158,10 +158,9 @@ type Set struct {
 type Thread struct {
 	set   *Set
 	impl  techThread
-	pt    *rqprov.Thread // EBR provider thread; nil for other techniques
-	tr    *trace.Ring    // flight-recorder ring (nil when untraced)
-	mtid  int            // metric shard id
-	opSeq uint64         // operations issued; drives latency sampling
+	tr    *trace.Ring // flight-recorder ring (nil when untraced)
+	mtid  int         // metric shard id
+	opSeq uint64      // operations issued; drives latency sampling
 }
 
 type setImpl interface {
@@ -392,11 +391,7 @@ func (s *Set) TryNewThread() (*Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	th := &Thread{set: s, impl: tt, tr: tt.traceRing(), mtid: int(s.mtids.Add(1)) - 1}
-	if et, ok := tt.(*ebrThread); ok {
-		th.pt = et.pt // feeds the EBR-only limbo and bag statistics
-	}
-	return th, nil
+	return &Thread{set: s, impl: tt, tr: tt.traceRing(), mtid: int(s.mtids.Add(1)) - 1}, nil
 }
 
 // Close releases the thread's slot for reuse by a future NewThread or
@@ -560,35 +555,6 @@ func (t *Thread) RangeQuery(low, high int64) []KV {
 // LastRQTimestamp returns the linearization timestamp of this thread's most
 // recent range query (timestamp-based techniques only; 0 otherwise).
 func (t *Thread) LastRQTimestamp() uint64 { return t.impl.lastRQTS() }
-
-// LimboVisitedLast returns how many limbo-list nodes this thread's most
-// recent range query visited (provider-based techniques only).
-func (t *Thread) LimboVisitedLast() uint64 {
-	if t.pt == nil {
-		return 0
-	}
-	return t.pt.LimboVisitedLast()
-}
-
-// BagsSkippedTotal returns how many limbo bags this thread's range queries
-// have skipped entirely via the max-dtime bag fence (provider-based
-// techniques only); BagsSweptTotal counts the bags actually walked. The
-// ratio shows how much of the sweep the fence elides (DESIGN.md §8).
-func (t *Thread) BagsSkippedTotal() uint64 {
-	if t.pt == nil {
-		return 0
-	}
-	return t.pt.BagsSkippedTotal()
-}
-
-// BagsSweptTotal returns how many limbo bags this thread's range queries
-// have walked (provider-based techniques only).
-func (t *Thread) BagsSweptTotal() uint64 {
-	if t.pt == nil {
-		return 0
-	}
-	return t.pt.BagsSweptTotal()
-}
 
 // ---------------------------------------------------------------------------
 // Adapters

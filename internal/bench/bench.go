@@ -86,13 +86,6 @@ type Result struct {
 	LimboSize  int // EBR limbo size at the end of the trial
 	HTMAborts  uint64
 
-	// PeakLimboNodes/PeakLimboBytes are the highest unreclaimed-garbage
-	// gauges (nodes and approximate bytes, limbo plus quarantine, summed
-	// across shards) a 1ms sampler observed during the measured window —
-	// the memory-bound figure BENCH_rq.json reports next to throughput.
-	PeakLimboNodes int64
-	PeakLimboBytes int64
-
 	// Obs is the trial's observability delta: every metric the registry
 	// collected between the start and the end of the measured window.
 	Obs obs.Snapshot
@@ -124,12 +117,6 @@ func (r *Result) Merge(o *Result) {
 	}
 	r.LimboSize = o.LimboSize
 	r.HTMAborts += o.HTMAborts
-	if o.PeakLimboNodes > r.PeakLimboNodes {
-		r.PeakLimboNodes = o.PeakLimboNodes
-	}
-	if o.PeakLimboBytes > r.PeakLimboBytes {
-		r.PeakLimboBytes = o.PeakLimboBytes
-	}
 	r.Obs = r.Obs.Add(o.Obs)
 	r.rqLat = append(r.rqLat, o.rqLat...)
 }
@@ -198,7 +185,6 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 	// end-of-trial provider stats (summed across shards when sharded).
 	var newHandle func() opHandle
 	var limboSize func() int
-	var limboGauges func() (nodes, bytes int64)
 	var htmAborts func() uint64
 	if cfg.Shards > 1 {
 		sh, err := ebrrq.NewShardedWithOptions(cfg.DS, cfg.Tech, len(cfg.Threads)+1,
@@ -216,14 +202,6 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 			}
 			return n
 		}
-		limboGauges = func() (nodes, bytes int64) {
-			for i := 0; i < sh.Shards(); i++ {
-				n, b := sh.Shard(i).UnreclaimedNodes(), sh.Shard(i).UnreclaimedBytes()
-				nodes += n
-				bytes += b
-			}
-			return nodes, bytes
-		}
 		htmAborts = func() (n uint64) {
 			for i := 0; i < sh.Shards(); i++ {
 				n += sh.Shard(i).HTMAborts()
@@ -240,9 +218,6 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 		newHandle = func() opHandle { return set.NewThread() }
 		if set.Domain() != nil {
 			limboSize = set.LimboSize
-			limboGauges = func() (nodes, bytes int64) {
-				return set.UnreclaimedNodes(), set.UnreclaimedBytes()
-			}
 			htmAborts = set.HTMAborts
 		}
 	}
@@ -309,36 +284,11 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 	if reg != nil {
 		before = reg.Snapshot()
 	}
-	// Peak-limbo sampler: the O(1) gauges make a 1ms poll free, and the peak
-	// is the number the memory-bound story is judged by — the end-of-trial
-	// LimboSize only shows what was left, not how high the water rose.
-	var peakNodes, peakBytes int64
-	peakDone := make(chan struct{})
-	if limboGauges != nil {
-		go func() {
-			defer close(peakDone)
-			tick := time.NewTicker(time.Millisecond)
-			defer tick.Stop()
-			for !halt.Load() {
-				<-tick.C
-				n, b := limboGauges()
-				if n > peakNodes {
-					peakNodes = n
-				}
-				if b > peakBytes {
-					peakBytes = b
-				}
-			}
-		}()
-	} else {
-		close(peakDone)
-	}
 	t0 := time.Now()
 	start.Done()
 	time.Sleep(cfg.Duration)
 	halt.Store(true)
 	stop.Wait()
-	<-peakDone
 	elapsed := time.Since(t0)
 
 	res := Result{Elapsed: elapsed}
@@ -369,8 +319,6 @@ func RunTrial(cfg TrialCfg) (Result, error) {
 	if limboSize != nil {
 		res.LimboSize = limboSize()
 	}
-	res.PeakLimboNodes = peakNodes
-	res.PeakLimboBytes = peakBytes
 	if reg == nil && htmAborts != nil {
 		// Observability disabled: fall back to the lock's raw abort
 		// count so the overhead A/B still reports aborts.

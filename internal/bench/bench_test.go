@@ -87,25 +87,33 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-// TestRQBenchTraceSplits runs one tiny traced cell and checks the report
-// point carries the flight-recorder phase splits and that the binary dump
-// sink receives a parseable dump.
+// TestRQBenchTraceSplits runs one tiny traced cell and checks the point
+// carries the flight-recorder phase splits, that the binary dump sink
+// receives a parseable dump, and that the run opens with a warm-up trial
+// that is announced on Out but discarded: it yields no point and no cell
+// line.
 func TestRQBenchTraceSplits(t *testing.T) {
-	var dump bytes.Buffer
-	rep, err := RunRQBench(RQBenchCfg{
+	var dump, out bytes.Buffer
+	points, err := RunRQBench(RQBenchCfg{
 		DSs:   []ebrrq.DataStructure{ebrrq.SkipList},
 		Techs: []ebrrq.Mode{ebrrq.LockFree}, Threads: []int{2},
 		Trials: 1, Duration: 30 * time.Millisecond, Scale: 100,
 		RQPcts:    []int{50},
 		TraceDump: &dump,
+		Out:       &out,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 1 {
-		t.Fatalf("points = %d, want 1", len(rep.Points))
+	if len(points) != 1 {
+		t.Fatalf("points = %d, want 1 (the warm-up trial must not be returned)", len(points))
 	}
-	pt := rep.Points[0]
+	pt := points[0]
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "# warm-up: ") ||
+		!strings.HasPrefix(lines[1], pt.Key()+" ") || !strings.Contains(lines[2], "rq phases:") {
+		t.Fatalf("output is not warm-up line, cell line, phase line:\n%s", out.String())
+	}
 	if pt.RQTraverseNs == 0 || pt.RQLimboNs == 0 || pt.RQAnnounceNs == 0 {
 		t.Fatalf("phase splits missing: %+v", pt)
 	}
@@ -121,10 +129,10 @@ func TestRQBenchTraceSplits(t *testing.T) {
 	}
 }
 
-// TestRQBenchNoTrace checks the disabled path leaves the splits zero (and
-// therefore omitted from JSON), and that an rq_pct 0 cell is update-only.
+// TestRQBenchNoTrace checks the disabled path leaves the splits zero, and
+// that an rq_pct 0 cell is update-only.
 func TestRQBenchNoTrace(t *testing.T) {
-	rep, err := RunRQBench(RQBenchCfg{
+	points, err := RunRQBench(RQBenchCfg{
 		DSs:   []ebrrq.DataStructure{ebrrq.SkipList},
 		Techs: []ebrrq.Mode{ebrrq.LockFree}, Threads: []int{1},
 		Trials: 1, Duration: 20 * time.Millisecond, Scale: 100,
@@ -134,13 +142,13 @@ func TestRQBenchNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
+	if len(points) != 2 {
+		t.Fatalf("points = %d, want 2", len(points))
 	}
-	if pt := rep.Points[0]; pt.RQPct != 0 || pt.RQsPerUs != 0 || pt.UpdatesPerUs <= 0 {
+	if pt := points[0]; pt.RQPct != 0 || pt.RQsPerUs != 0 || pt.UpdatesPerUs <= 0 {
 		t.Fatalf("rq_pct 0 cell is not update-only: %+v", pt)
 	}
-	if pt := rep.Points[1]; pt.PhaseSplit() != "" {
+	if pt := points[1]; pt.PhaseSplit() != "" {
 		t.Fatalf("NoTrace run still has phase data: %+v", pt)
 	}
 }
@@ -150,7 +158,7 @@ func TestRQBenchNoTrace(t *testing.T) {
 // cell anchored at the first supported mode, even with two modes listed),
 // and carries the technique key suffix.
 func TestRQBenchTechniqueCells(t *testing.T) {
-	rep, err := RunRQBench(RQBenchCfg{
+	points, err := RunRQBench(RQBenchCfg{
 		DSs:   []ebrrq.DataStructure{ebrrq.LazyList},
 		Techs: []ebrrq.Mode{ebrrq.Lock, ebrrq.LockFree}, Threads: []int{2},
 		Trials: 1, Duration: 30 * time.Millisecond, Scale: 100,
@@ -163,7 +171,7 @@ func TestRQBenchTechniqueCells(t *testing.T) {
 	}
 	// 2 EBR modes + 1 anchored bundle cell.
 	var ebrPts, bundlePts int
-	for _, pt := range rep.Points {
+	for _, pt := range points {
 		switch pt.Technique {
 		case "ebr":
 			ebrPts++
@@ -199,92 +207,6 @@ func TestTechniqueAnchor(t *testing.T) {
 	}
 	if _, ok := techniqueAnchor(modes, ebrrq.LFBST, ebrrq.Bundle); ok {
 		t.Fatal("anchor found for an unsupported structure")
-	}
-}
-
-func TestRQEnvMismatch(t *testing.T) {
-	a := RQReport{GOMAXPROCS: 1, NumCPU: 1, GoVersion: "go1.24.0"}
-	if msgs := RQEnvMismatch(a, a); len(msgs) != 0 {
-		t.Fatalf("identical envs mismatch: %v", msgs)
-	}
-	b := RQReport{GOMAXPROCS: 8, NumCPU: 16, GoVersion: "go1.25.0"}
-	msgs := RQEnvMismatch(a, b)
-	if len(msgs) != 3 {
-		t.Fatalf("mismatch messages = %v, want 3", msgs)
-	}
-	for _, want := range []string{"gomaxprocs", "num_cpu", "go_version"} {
-		found := false
-		for _, m := range msgs {
-			if strings.HasPrefix(m, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("no %s message in %v", want, msgs)
-		}
-	}
-}
-
-func TestCompareRQReportsDrift(t *testing.T) {
-	mk := func(scale float64, dips map[int]float64) RQReport {
-		var r RQReport
-		for i := 0; i < 8; i++ {
-			v := scale
-			if d, ok := dips[i]; ok {
-				v = d
-			}
-			r.Points = append(r.Points, RQPoint{
-				DS: "SkipList", Tech: "Lock", Threads: 8, RQPct: i,
-				OpsPerUs: v, BestOpsPerUs: v,
-			})
-		}
-		return r
-	}
-	base := mk(1.0, nil)
-
-	if msgs := CompareRQReports(base, mk(1.0, nil), 0.20); len(msgs) != 0 {
-		t.Fatalf("identical reports regressed: %v", msgs)
-	}
-	// Uniform 22% slowdown: outside the plain per-cell budget, but pure
-	// host drift — the median correction absorbs it.
-	if msgs := CompareRQReports(base, mk(0.78, nil), 0.20); len(msgs) != 0 {
-		t.Fatalf("uniform 22%% drift tripped the gate: %v", msgs)
-	}
-	// One cell 40% down while its peers hold: a real regression; drift
-	// (median ~1.0) must not mask it.
-	if msgs := CompareRQReports(base, mk(1.0, map[int]float64{3: 0.60}), 0.20); len(msgs) != 1 {
-		t.Fatalf("single-cell regression messages = %v, want 1", msgs)
-	}
-	// Uniform 40% slowdown: beyond the 25% drift clamp, so every cell
-	// still trips — a genuine across-the-board regression is not excused.
-	if msgs := CompareRQReports(base, mk(0.60, nil), 0.20); len(msgs) != 8 {
-		t.Fatalf("uniform 40%% regression messages = %d, want 8", len(msgs))
-	}
-	// A faster host never tightens the gate: cells at baseline speed pass
-	// even when the median ratio is above 1.
-	if msgs := CompareRQReports(base, mk(1.5, map[int]float64{2: 0.95}), 0.20); len(msgs) != 0 {
-		t.Fatalf("upward drift tightened the gate: %v", msgs)
-	}
-}
-
-func TestMinRQReports(t *testing.T) {
-	pt := func(rq int, ops, best float64) RQPoint {
-		return RQPoint{DS: "SkipList", Tech: "Lock", Threads: 8, RQPct: rq,
-			OpsPerUs: ops, BestOpsPerUs: best}
-	}
-	cur := RQReport{Points: []RQPoint{pt(0, 1.0, 1.2), pt(10, 0.5, 0.6)}}
-	prev := RQReport{Points: []RQPoint{pt(0, 0.8, 1.4), pt(50, 0.3, 0.4)}}
-	got := MinRQReports(cur, prev)
-	if len(got.Points) != 2 {
-		t.Fatalf("points = %d, want 2 (prev-only cells dropped)", len(got.Points))
-	}
-	// rq0: ops takes prev's lower 0.8, best keeps cur's lower 1.2.
-	if got.Points[0].OpsPerUs != 0.8 || got.Points[0].BestOpsPerUs != 1.2 {
-		t.Fatalf("rq0 = %+v, want ops 0.8 / best 1.2", got.Points[0])
-	}
-	// rq10: absent from prev, unchanged.
-	if got.Points[1].OpsPerUs != 0.5 || got.Points[1].BestOpsPerUs != 0.6 {
-		t.Fatalf("rq10 = %+v, want unchanged", got.Points[1])
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"unsafe"
 
 	"ebrrq/internal/epoch"
+	"ebrrq/internal/fault"
 	"ebrrq/internal/obs"
 	"ebrrq/internal/rqprov"
 	"ebrrq/internal/trace"
@@ -273,21 +274,21 @@ func (p *Provider) CollectGarbage() int {
 	return n
 }
 
-// MinActiveTS returns the bundle reclamation floor: the minimum published
-// active-query floor, or the current clock value when no query is active.
-// The slots are scanned before the clock is read, and floors are clock
-// reads taken before their queries' timestamps — so a query that begins
-// concurrently with the scan always has ts at or above the returned value,
-// and the boundary-keeping gcBelow retains the entry it resolves to.
+// MinActiveTS returns the bundle reclamation floor: the minimum of the clock
+// and every published active-query floor. The clock is read before the
+// slots are scanned: a slot the scan misses was published after that read,
+// and floors are clock reads taken before their queries' timestamps — so
+// the missed query has ts at or above the returned value, and the
+// boundary-keeping gcBelow retains the entry it resolves to. (Reading the
+// clock last would let a query begin, and later queries advance the clock
+// past its timestamp, between the scan and the read.)
 func (p *Provider) MinActiveTS() uint64 {
-	var min uint64
+	min := p.word.Load()
+	fault.Inject("bundle.gc.floorscan")
 	for i := range p.active {
-		if v := p.active[i].v.Load(); v != 0 && (min == 0 || v < min) {
+		if v := p.active[i].v.Load(); v != 0 && v < min {
 			min = v
 		}
-	}
-	if min == 0 {
-		min = p.word.Load()
 	}
 	return min
 }

@@ -62,8 +62,10 @@ func TestWatchdogIgnoresProgress(t *testing.T) {
 	th := d.Register()
 	stalled := make(chan []Stall, 16)
 	w := d.StartWatchdog(WatchdogConfig{
-		Interval:   time.Millisecond,
-		StallAfter: 5 * time.Millisecond,
+		Interval: time.Millisecond,
+		// Well above one OS preemption of this goroutine: on a loaded
+		// 2-vCPU host a 5 ms threshold was tripped by a 6 ms deschedule.
+		StallAfter: 20 * time.Millisecond,
 		OnStall:    func(s []Stall) { stalled <- s },
 	})
 	defer w.Stop()
