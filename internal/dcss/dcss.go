@@ -22,10 +22,15 @@
 // provider's announcement array, help the DCSS complete, and learn the
 // timestamp without waiting (the paper's wait-free TryAdd).
 //
-// Descriptors are allocated per operation; Go's garbage collector prevents
-// descriptor-pointer ABA for free (a descriptor's address cannot be reused
-// while any helper still references it), which replaces the manual
-// sequence-number validation the C++ implementation needs.
+// Every attempt runs on a descriptor that is fresh to every thread that can
+// reach it: either newly allocated, or recycled by its owner (Reset) after an
+// epoch grace period during which no critical section that could have seen
+// it is still running — the provider pools descriptors per thread on the EBR
+// epochs that already protect nodes (DESIGN.md §11). A descriptor's address
+// is therefore never reused while any helper still references it, which
+// rules out descriptor-pointer ABA and replaces the manual sequence-number
+// validation the C++ implementation needs. This package only assumes that
+// discipline; it does no pooling itself.
 package dcss
 
 import (
@@ -139,8 +144,9 @@ const (
 	FailedValue
 )
 
-// Descriptor holds the arguments and payload of one DCSS operation. Create
-// a fresh Descriptor for every attempt.
+// Descriptor holds the arguments and payload of one DCSS operation. Every
+// attempt takes a different Descriptor, either new or Reset by its owner
+// after a grace period; one is never re-armed while it can still be reached.
 type Descriptor struct {
 	// A1 and Exp1 are the first (compare-only) location and its expected
 	// value; in the provider this is the global timestamp TS, and Exp1 is
@@ -160,8 +166,8 @@ type Descriptor struct {
 
 // Exec runs the DCSS operation to completion and returns its status (never
 // Undecided). FailedValue means the slot's value differed from Old; FailedA1
-// means TS changed — the caller typically re-reads TS and retries with a
-// fresh descriptor.
+// means TS changed — the caller typically re-reads TS and retries with
+// another descriptor.
 func (d *Descriptor) Exec() Status {
 	for {
 		if atomic.CompareAndSwapPointer(&d.S.p, d.Old, packDesc(d)) {
@@ -192,9 +198,10 @@ func (d *Descriptor) Exec() Status {
 // schedule-stress harness.
 //
 // The check is race-free: once installed, a descriptor leaves the slot only
-// after its status is decided, and every attempt uses a fresh descriptor
-// (no reinstallation), so observing status == Undecided and the descriptor
-// in the slot guarantees it is still installed when complete decides.
+// after its status is decided, and every attempt uses a descriptor that is
+// fresh or was recycled only after a grace period (no reinstallation while a
+// helper holds it), so observing status == Undecided and the descriptor in
+// the slot guarantees it is still installed when complete decides.
 func (d *Descriptor) Help() Status {
 	if Status(d.status.Load()) != Undecided {
 		return d.complete() // decided; finalisation is idempotent
@@ -207,6 +214,20 @@ func (d *Descriptor) Help() Status {
 
 // StatusNow returns the operation's current status without helping.
 func (d *Descriptor) StatusNow() Status { return Status(d.status.Load()) }
+
+// Reset returns a finished descriptor to the state of a new one — Undecided,
+// no slot, no values, empty payload — keeping only the payload slices'
+// backing arrays, so its owner can arm it for another operation with plain
+// stores. The caller must guarantee that no other thread can still hold a
+// reference: the descriptor is out of every slot and announcement, and every
+// critical section that could have read it from one has ended.
+func (d *Descriptor) Reset() {
+	d.S, d.Old, d.New = nil, nil, nil
+	clear(d.INodes)
+	clear(d.DNodes)
+	d.INodes, d.DNodes = d.INodes[:0], d.DNodes[:0]
+	d.status.Store(uint32(Undecided))
+}
 
 // complete decides and finalises an installed descriptor. Multiple threads
 // may run it concurrently; the first status CAS decides the outcome and the

@@ -92,6 +92,18 @@ func TestDCSSSemantics(t *testing.T) {
 	if s.Load() != unsafe.Pointer(b) {
 		t.Fatal("slot not updated on success")
 	}
+
+	// Reset: the decided descriptor is as good as new, payload capacity kept.
+	d.INodes = append(d.INodes, nil, nil)
+	d.Reset()
+	if d.StatusNow() != Undecided || d.S != nil || d.Old != nil || d.New != nil ||
+		len(d.INodes) != 0 || cap(d.INodes) < 2 {
+		t.Fatalf("Reset left %+v", d)
+	}
+	d.Exp1, d.S, d.Old, d.New = 4, &s, unsafe.Pointer(b), unsafe.Pointer(a)
+	if st := d.Exec(); st != FailedA1 {
+		t.Fatalf("re-armed descriptor: status = %v, want FailedA1 (a stale Succeeded would mean Reset kept the status)", st)
+	}
 }
 
 // TestDCSSAtomicityUnderContention: concurrent DCSS increments guarded by a

@@ -860,6 +860,11 @@ func (t *Thread) Deregister() {
 // CurrentEpoch returns the epoch announced by the thread's current operation.
 func (t *Thread) CurrentEpoch() uint64 { return t.localEpoch }
 
+// InOp reports whether the thread is inside a critical section (StartOp or
+// Pin without its matching end); only then is CurrentEpoch within one of the
+// global epoch. Owner-only.
+func (t *Thread) InOp() bool { return t.inOp }
+
 // Retire places a node, already physically removed from the data structure,
 // at the head of the thread's current limbo list. The node will be handed to
 // the domain's free function only after every concurrently running operation

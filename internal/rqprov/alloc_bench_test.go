@@ -91,6 +91,67 @@ func BenchmarkRQSteadyState(b *testing.B) {
 	}
 }
 
+// steadyUpdatePair is one insert and one delete of n through slot, each a
+// complete operation: epoch bracket, announcement, the mode's linearizing
+// CAS, timestamp publication. The node is not retired, so the pair can repeat
+// on the same node.
+func steadyUpdatePair(th *Thread, slot *dcss.Slot, n *epoch.Node) {
+	n.InitKey(1, 10)
+	th.StartOp()
+	th.UpdateCAS(slot, nil, unsafe.Pointer(n), []*epoch.Node{n}, nil, false)
+	th.EndOp()
+	th.StartOp()
+	th.UpdateCAS(slot, unsafe.Pointer(n), nil, nil, []*epoch.Node{n}, false)
+	th.EndOp()
+}
+
+// warmUpdates runs enough pairs for the epoch to turn over many times, so the
+// lock-free provider's descriptor pool and its bag slices reach steady state.
+func warmUpdates(th *Thread, slot *dcss.Slot, n *epoch.Node) {
+	for i := 0; i < 2000; i++ {
+		steadyUpdatePair(th, slot, n)
+	}
+}
+
+// TestUpdateSteadyStateZeroAlloc is the update-side twin of
+// TestRQSteadyStateZeroAlloc: after warm-up an update performs zero heap
+// allocations in every provider mode — the caller's node slices stay on its
+// stack, and the lock-free provider's DCSS descriptors come from the
+// thread's epoch-gated pool.
+func TestUpdateSteadyStateZeroAlloc(t *testing.T) {
+	for _, mode := range []Mode{ModeUnsafe, ModeLock, ModeHTM, ModeLockFree} {
+		t.Run(mode.String(), func(t *testing.T) {
+			th, _ := steadyProvider(mode)
+			var slot dcss.Slot
+			n := newNode(1, 10)
+			warmUpdates(th, &slot, n)
+			if allocs := testing.AllocsPerRun(500, func() {
+				steadyUpdatePair(th, &slot, n)
+			}); allocs != 0 {
+				t.Fatalf("steady-state update pair allocates %.1f objects, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkUpdateSteadyState measures the provider-side cost of one update
+// (half an insert/delete pair) with -benchmem reporting 0 B/op, 0 allocs/op.
+func BenchmarkUpdateSteadyState(b *testing.B) {
+	for _, mode := range []Mode{ModeLock, ModeHTM, ModeLockFree} {
+		b.Run(mode.String(), func(b *testing.B) {
+			th, _ := steadyProvider(mode)
+			var slot dcss.Slot
+			n := newNode(1, 10)
+			warmUpdates(th, &slot, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += 2 {
+				steadyUpdatePair(th, &slot, n)
+			}
+		})
+	}
+}
+
 // BenchmarkFinishResult isolates the sort+dedup tail of TraversalEnd on a
 // worst-case (reverse-ordered, duplicate-bearing) result buffer.
 func BenchmarkFinishResult(b *testing.B) {

@@ -148,7 +148,9 @@ type Config struct {
 type Recorder interface {
 	// RecordUpdate is called after an update linearizes with timestamp ts,
 	// inserting inodes and deleting dnodes. Called on the updater's
-	// goroutine after the timestamps have been published.
+	// goroutine after the timestamps have been published. The two slices are
+	// the provider's per-thread scratch, valid only for the duration of the
+	// call: an implementation that wants the node lists later copies them.
 	RecordUpdate(tid int, ts uint64, inodes, dnodes []*epoch.Node)
 }
 
@@ -227,6 +229,8 @@ type provMetrics struct {
 	awaitDSpins  *obs.Counter   // ebrrq_await_dtime_spins_total
 	poolHits     *obs.Counter   // ebrrq_pool_hits_total
 	poolMisses   *obs.Counter   // ebrrq_pool_misses_total
+	descHits     *obs.Counter   // ebrrq_desc_pool_hits_total
+	descMisses   *obs.Counter   // ebrrq_desc_pool_misses_total
 
 	// backpressured counts updates AdmitUpdate rejected (after any
 	// PressureWait) because limbo sat at the hard memory limit.
@@ -278,6 +282,8 @@ func (p *Provider) EnableMetrics(reg *obs.Registry) {
 		awaitDSpins:  reg.Counter("ebrrq_await_dtime_spins_total", "spin iterations waiting for deletion timestamps"),
 		poolHits:     reg.Counter("ebrrq_pool_hits_total", "node allocations served from a free pool"),
 		poolMisses:   reg.Counter("ebrrq_pool_misses_total", "node allocations that went to the heap"),
+		descHits:     reg.Counter("ebrrq_desc_pool_hits_total", "DCSS descriptors recycled from the updater's epoch-gated pool (lock-free provider)"),
+		descMisses:   reg.Counter("ebrrq_desc_pool_misses_total", "DCSS descriptors that went to the heap (lock-free provider)"),
 		tsShared:     reg.Counter("ebrrq_rq_ts_shared", "range queries that adopted a concurrently installed timestamp"),
 		tsAdvanced:   reg.Counter("ebrrq_rq_ts_advanced", "range queries that advanced the global timestamp themselves"),
 		tsPinned:     reg.Counter("ebrrq_rq_ts_pinned", "per-shard traversals that ran at a router-pinned timestamp"),
@@ -547,7 +553,13 @@ type Thread struct {
 
 	// desc is the announced DCSS descriptor of the thread's in-flight
 	// update (ModeLockFree), carrying the timestamp payload for helpers.
-	desc atomic.Pointer[dcss.Descriptor]
+	// descs is where those descriptors come from and go back to.
+	desc  atomic.Pointer[dcss.Descriptor]
+	descs descPool
+
+	// recI/recD are the node lists handed to the Recorder: copies, so the
+	// interface call does not make every caller's inodes/dnodes escape.
+	recI, recD []*epoch.Node
 
 	// Range-query state (private to the owner).
 	ts        uint64
@@ -824,23 +836,28 @@ func (t *Thread) UpdateCAS(slot *dcss.Slot, old, new unsafe.Pointer, inodes, dno
 		for {
 			t.ep.CheckNeutralized() // re-check per retry: TS waits can spin long
 			ts := p.ts.Load()
-			d := &dcss.Descriptor{
-				A1: p.ts, Exp1: ts,
-				S: slot, Old: old, New: new,
-				INodes: inodes, DNodes: dnodes,
-			}
+			d := t.acquireDesc()
+			d.A1, d.Exp1 = p.ts, ts
+			d.S, d.Old, d.New = slot, old, new
+			d.INodes = append(d.INodes, inodes...)
+			d.DNodes = append(d.DNodes, dnodes...)
 			t.desc.Store(d)
 			fault.Inject("rqprov.update.desc")
 			st := d.Exec()
-			if st == dcss.Succeeded {
+			switch st {
+			case dcss.Succeeded:
 				t.finishUpdate(true, ts, inodes, dnodes, retireDeleted)
-				t.desc.Store(nil)
-				return true
-			}
-			if st == dcss.FailedValue {
+			case dcss.FailedValue:
 				t.finishUpdate(false, 0, nil, dnodes, false)
-				t.desc.Store(nil)
-				return false
+			}
+			// Every attempt ends by withdrawing its descriptor and takes a
+			// different one if it retries: a helper may still hold this one,
+			// so it is never re-armed in place. A panic above skips the
+			// release and the descriptor goes to the garbage collector.
+			t.desc.Store(nil)
+			t.releaseDesc(d)
+			if st != dcss.FailedA1 {
+				return st == dcss.Succeeded
 			}
 			// FailedA1: TS changed under us; retry with a fresh read.
 			p.met.dcssRetries.Inc(t.id)
@@ -850,6 +867,28 @@ func (t *Thread) UpdateCAS(slot *dcss.Slot, old, new unsafe.Pointer, inodes, dno
 		}
 	}
 	panic("rqprov: unknown mode")
+}
+
+// acquireDesc returns an Undecided descriptor with empty fields for the next
+// DCSS attempt: one whose grace period has passed if the pool has it, a new
+// one otherwise.
+func (t *Thread) acquireDesc() *dcss.Descriptor {
+	if d := t.descs.get(t.ep.CurrentEpoch(), t.prov.dom); d != nil {
+		t.prov.met.descHits.Inc(t.id)
+		return d
+	}
+	t.prov.met.descMisses.Inc(t.id)
+	return new(dcss.Descriptor)
+}
+
+// releaseDesc returns a finished attempt's descriptor to the pool. It must be
+// out of the slot (Exec returned) and out of t.desc. Outside an operation the
+// local epoch says nothing about which readers are running, so the
+// descriptor is dropped.
+func (t *Thread) releaseDesc(d *dcss.Descriptor) {
+	if t.ep.InOp() {
+		t.descs.put(t.ep.CurrentEpoch(), d)
+	}
 }
 
 // finishUpdate publishes timestamps, retires deleted nodes and clears the
@@ -869,7 +908,9 @@ func (t *Thread) finishUpdate(ok bool, ts uint64, inodes, dnodes []*epoch.Node, 
 		// unannounceAll — the announcement covers the nodes until they are
 		// findable in limbo.
 		if r := t.prov.recorder; r != nil {
-			r.RecordUpdate(t.id, ts, inodes, dnodes)
+			t.recI = append(t.recI[:0], inodes...)
+			t.recD = append(t.recD[:0], dnodes...)
+			r.RecordUpdate(t.id, ts, t.recI, t.recD)
 		}
 		if retireDeleted {
 			for _, d := range dnodes {
